@@ -35,7 +35,7 @@ from .instances import (
 )
 from .measures import DiscreteMeasure, box_mass, dl, tv
 from .quantize import SampleSet, chaos_game, fit_dimension, fit_dimension_from_samples
-from .separation import Status, check_osc_sufficient, check_ssc
+from .separation import SeparationReport, Status, check_osc_sufficient, check_ssc
 from .dimension import d0_dimension, kappa_curve, solve_kappa
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "format_result",
@@ -123,8 +123,11 @@ def _crit_r_to_zero() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _crit_example_separation() -> tuple[bool, str]:
-    """t = 0.2: exact level-2 interval images, SSC satisfied, level-1 OSC unknown."""
+def _example_separation() -> tuple[float, SeparationReport, SeparationReport]:
+    """Movable-translation example at t = 0.2: the level-2 word images
+    11, 21, 31 against their exact intervals, then the level-2 SSC and
+    level-1 OSC reports.  Returns (max endpoint error, SSC report, OSC report).
+    """
     w = quarter_maps(0.2)
     hull = attractor_hull(w)
     expected = {"11": (0.0, 0.0625), "21": (0.2, 0.2625), "31": (0.75, 0.8125)}
@@ -135,10 +138,14 @@ def _crit_example_separation() -> tuple[bool, str]:
         img = f.box_image(hull)
         worst = max(worst, abs(float(img.lo[0]) - lo), abs(float(img.hi[0]) - hi))
         fams.append(f)
+    return worst, check_ssc(fams, hull), check_osc_sufficient(list(w.maps), hull)
+
+
+def _crit_example_separation() -> tuple[bool, str]:
+    """t = 0.2: exact level-2 interval images, SSC satisfied, level-1 OSC unknown."""
+    worst, rep2, rep1 = _example_separation()
     if worst >= 1e-14:
         return False, f"image endpoint error {worst:.3e} (tol 1e-14)"
-    rep2 = check_ssc(fams, hull)
-    rep1 = check_osc_sufficient(list(w.maps), hull)
     ok = rep2.status is Status.SATISFIED and rep1.status is Status.UNKNOWN
     return ok, (f"endpoint err {worst:.1e}, level-2 SSC {rep2.status.value} "
                 f"(min gap {rep2.min_gap:.4f}), level-1 OSC {rep1.status.value}")
@@ -386,23 +393,12 @@ def run_quick() -> list[tuple[str, bool, str]]:
     """
     checks: list[tuple[str, bool, str]] = []
 
-    w = quarter_maps(0.2)
-    hull = attractor_hull(w)
-    expected = {"11": (0.0, 0.0625), "21": (0.2, 0.2625), "31": (0.75, 0.8125)}
-    worst = 0.0
-    fams = []
-    for text, (lo, hi) in expected.items():
-        f = compose_word(w, Word.parse(text))
-        img = f.box_image(hull)
-        worst = max(worst, abs(float(img.lo[0]) - lo), abs(float(img.hi[0]) - hi))
-        fams.append(f)
+    worst, rep2, rep1 = _example_separation()
     checks.append(("word images [0,1/16] [0.2,0.2625] [0.75,0.8125]",
                    worst < 1e-14, f"max endpoint error {worst:.2e}"))
-    rep2 = check_ssc(fams, hull)
     checks.append(("level-2 selection strongly separated",
                    rep2.status is Status.SATISFIED and abs(rep2.min_gap - 0.1375) < 1e-12,
                    f"status {rep2.status.value}, min gap {rep2.min_gap!r}"))
-    rep1 = check_osc_sufficient(list(w.maps), hull)
     checks.append(("level-1 open-set check inconclusive",
                    rep1.status is Status.UNKNOWN, f"status {rep1.status.value}"))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
 def _load_wifs(path: str) -> WIFS:
@@ -127,7 +128,14 @@ def _parse_word(field: str, text: str) -> Word:
         raise _Invalid(field, f"bad word {text!r}: {exc}") from exc
 
 
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no infinities: an infinite value is written as null."""
+    return float(x) if math.isfinite(x) else None
+
+
 def _require_positive(field: str, value, strict: bool = True) -> None:
+    if not math.isfinite(value):
+        raise _Invalid(field, f"must be finite, got {value}")
     if (value <= 0) if strict else (value < 0):
         bound = "positive" if strict else "non-negative"
         raise _Invalid(field, f"must be {bound}, got {value}")
@@ -181,7 +189,7 @@ def _cmd_check_sep(args) -> int:
     obj = {
         "condition": report.condition.value,
         "status": report.status.value,
-        "min_gap": (None if report.min_gap == float("inf") else float(report.min_gap)),
+        "min_gap": _finite_or_none(report.min_gap),
         "members": labels,
         "hull": _box_to_obj(hull),
     }
@@ -213,7 +221,7 @@ def _cmd_subifs_search(args) -> int:
         "selection": [str(word) for word in sub.selection],
         "scales": [float(f.scale) for f in sub.maps],
         "probs": [float(p) for p in sub.probs],
-        "min_gap": float(report.min_gap),
+        "min_gap": _finite_or_none(report.min_gap),
         "status": report.status.value,
     }, args.out)
     return 0
@@ -233,7 +241,7 @@ def _cmd_quantize(args) -> int:
         "r": args.r,
         "seed": args.seed,
         "samples": args.samples,
-        "distortion": book.distortion,
+        "distortion": _finite_or_none(book.distortion),
         "restarts_used": book.restarts_used,
         "points": [[float(v) for v in row] for row in book.points],
     }, args.out)

@@ -100,11 +100,6 @@ class SampleSet:
         return int(self.points.shape[1])
 
 
-def from_points(points: np.ndarray, label: str = "external") -> SampleSet:
-    """Wrap a raw point cloud as a SampleSet (no provenance)."""
-    return SampleSet(points=np.asarray(points, dtype=float), seed=-1, burn_in=0, wifs_fingerprint=label)
-
-
 def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleSet:
     """Sample the invariant measure by the random iteration algorithm.
 
@@ -409,20 +404,19 @@ def _seed_kmeanspp(x: np.ndarray, n: int, r: float, rng: np.random.Generator) ->
 
 
 def optimize_codebook(samples: SampleSet, n: int, r: float, restarts: int = 5,
-                      seed: int = 0, uniform_seeding: bool = False) -> Codebook:
+                      seed: int = 0) -> Codebook:
     """Best codebook over several seeded Lloyd runs.
 
     Each restart draws its own k-means++-style initialisation (distance^r
-    weighted; ``uniform_seeding=True`` switches to uniform draws without
-    replacement) from a generator derived from ``(seed, restart)``, runs
+    weighted) from a generator derived from ``(seed, restart)``, runs
     Lloyd to convergence, and the lowest-distortion run wins.  When ``n``
     is at least the sample count the distinct sample points themselves are
     returned (distortion 0, or -inf for r = 0).
     """
     if n < 1:
         raise ValueError(f"codebook size must be >= 1, got {n}")
-    if r < 0.0:
-        raise ValueError(f"order r must be >= 0, got {r}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"order r must be finite and >= 0, got {r}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     x = samples.points
@@ -435,11 +429,7 @@ def optimize_codebook(samples: SampleSet, n: int, r: float, restarts: int = 5,
     best_dist = math.inf
     for rep in range(restarts):
         rng = np.random.default_rng([seed, rep])
-        if uniform_seeding:
-            init = x[rng.choice(x.shape[0], size=n, replace=False)]
-        else:
-            init = _seed_kmeanspp(x, n, r, rng)
-        code, dist, _ = _lloyd(x, init, r)
+        code, dist, _ = _lloyd(x, _seed_kmeanspp(x, n, r, rng), r)
         if dist < best_dist:
             best_dist = dist
             best_code = code
@@ -517,8 +507,8 @@ def fit_dimension_from_samples(samples: SampleSet, r: float, n_list, seed: int,
             f"max(n_list)={max(ns)} too large for {samples.count} samples "
             "(need at least 100 samples per code point)"
         )
-    if r < 0.0:
-        raise ValueError(f"order r must be >= 0, got {r}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"order r must be finite and >= 0, got {r}")
 
     def run(n: int) -> tuple[int, float]:
         book = optimize_codebook(samples, n, r, restarts=restarts, seed=ladder_seed(seed, n))

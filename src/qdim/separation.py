@@ -186,12 +186,15 @@ def search_separated_sub_ifs(
     image box stays disjoint from the images already kept.
 
     ``budget`` caps the total number of candidate selections examined across
-    all levels.  Returns the first certified sub-system, or ``None`` when
-    the budget is exhausted or no level produced a certificate.  The
-    returned sub-system is always re-verified through :func:`check_ssc`.
+    all levels.  Returns the first certified sub-system of two or more words;
+    a single word is vacuously separated (its gap is infinite), so the first
+    one is returned only when no level up to ``n_max`` certifies more, and
+    ``None`` when the budget runs out first.  The returned sub-system is
+    always re-verified through :func:`check_ssc`.
     """
     hull = attractor_hull(wifs)
     examined = 0
+    fallback = None
 
     for level in range(1, n_max + 1):
         words = _all_words(wifs.n_maps, level)
@@ -220,11 +223,15 @@ def search_separated_sub_ifs(
                 candidates.append(tuple(sorted(picked)))
 
         for combo in candidates:
+            if len(combo) == 1 and fallback is not None:
+                continue
             examined += 1
             if examined > budget:
-                return None
+                return fallback
             if all(separated[i, j] for i, j in itertools.combinations(combo, 2)):
                 sub = build_sub_wifs(wifs, level, suffix, [words[k] for k in combo])
                 if check_ssc(sub.maps, hull).status is Status.SATISFIED:
-                    return sub
-    return None
+                    if len(combo) > 1:
+                        return sub
+                    fallback = sub
+    return fallback

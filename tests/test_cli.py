@@ -82,6 +82,19 @@ def test_dim_rejects_nonpositive_r(wifs_files, capsys):
     assert "error: r" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--r", "nan"], ["--r", "inf"], ["--r-grid", "1,nan"]])
+def test_dim_rejects_non_finite_r(wifs_files, capsys, flags):
+    assert main(["dim", "--wifs", wifs_files["cantor"]] + flags) == 2
+    assert "error: r" in capsys.readouterr().err
+
+
+def test_dim_extreme_orders_are_exact(wifs_files, capsys):
+    assert main(["dim", "--wifs", wifs_files["cantor"], "--r-grid", "1e-12,1e5"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    for row in rows:
+        assert float(row.split(",")[1]) == pytest.approx(math.log(2) / math.log(3), rel=1e-12)
+
+
 def test_dim_missing_wifs_file(tmp_path, capsys):
     assert main(["dim", "--wifs", str(tmp_path / "nope.json"), "--r", "2"]) == 2
     assert "error: wifs" in capsys.readouterr().err
@@ -148,6 +161,22 @@ def test_subifs_search_empty_suffix(wifs_files, capsys):
     assert obj["status"] == "Satisfied" and obj["min_gap"] > 0
 
 
+def test_subifs_search_prefers_pairs_at_a_deeper_level(tmp_path, capsys):
+    # Level 1 has only two overlapping maps, so the only level-1 selection is
+    # a single word with an infinite gap; level 2 separates three words.
+    w = WIFS(maps=(similitude_1d(0.55, 0.0), similitude_1d(0.55, 0.45)), probs=(0.5, 0.5))
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(wifs_to_json_obj(w)))
+    assert main(["subifs-search", "--wifs", str(path)]) == 0
+    text = capsys.readouterr().out
+    obj = json.loads(text)
+    assert obj["level"] == 2 and len(obj["selection"]) >= 2
+    assert obj["status"] == "Satisfied" and 0 < obj["min_gap"] < math.inf
+    assert main(["subifs-search", "--wifs", str(path), "--n-max", "1"]) == 0
+    text = capsys.readouterr().out
+    assert "Infinity" not in text and json.loads(text)["min_gap"] is None
+
+
 def test_subifs_search_with_suffix(wifs_files, capsys):
     assert main(["subifs-search", "--wifs", wifs_files["t02"], "--suffix", "1"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -179,6 +208,23 @@ def test_quantize_rejects_bad_n(wifs_files, capsys):
     assert main(["quantize", "--wifs", wifs_files["cantor"], "--n", "0", "--r", "2",
                  "--samples", "100", "--seed", "1"]) == 2
     assert "error: n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_quantize_and_estimate_reject_non_finite_r(wifs_files, capsys, r):
+    assert main(["quantize", "--wifs", wifs_files["cantor"], "--n", "4", "--r", r,
+                 "--samples", "1000", "--seed", "1"]) == 2
+    assert main(["estimate", "--wifs", wifs_files["cantor"], "--r", r, "--n-list", "2,4",
+                 "--samples", "1000", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.count("error: r") == 2
+
+
+def test_quantize_log_distortion_of_exact_codebook_is_null(wifs_files, tmp_path):
+    out = tmp_path / "q.json"
+    assert main(["quantize", "--wifs", wifs_files["cantor"], "--n", "50", "--r", "0",
+                 "--samples", "20", "--seed", "3", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "Infinity" not in text and json.loads(text)["distortion"] is None
 
 
 def test_estimate_csv_layout(wifs_files, tmp_path):

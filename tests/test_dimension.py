@@ -4,14 +4,18 @@ Reference values below were frozen from an independent implementation (a
 brute grid scan of the defining equation at 1e-6 resolution in the
 substituted variable, then a high-precision refinement) before this
 package's solver existed; they guard against silent regressions in the
-bisection kernel.
+vectorised kappa bisection.  Property tests pin its two limits, d0 as
+r -> 0 and the similarity dimension as r -> inf, and its monotonicity.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdim import dimension
 from qdim.dimension import (
     MONOTONE_SLACK,
     d0_dimension,
@@ -54,8 +58,9 @@ def test_frozen_d0_reference():
 
 
 @pytest.mark.parametrize("n,s", [(2, 1.0 / 3.0), (3, 0.2), (5, 0.15)])
-@pytest.mark.parametrize("r", [0.1, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("r", [0.1, 1.0, 2.0, 10.0, 1e-12, 1e5])
 def test_equal_ratio_closed_form(n, s, r):
+    # log n / log(1/s) is the root for every r, down to 1e-12 and up to 1e5
     maps = tuple(similitude_1d(s, float(k)) for k in range(n))
     w = WIFS(maps=maps, probs=tuple([1.0 / n] * n))
     assert solve_kappa(w, r).kappa_r == pytest.approx(math.log(n) / math.log(1.0 / s), abs=1e-9)
@@ -187,3 +192,69 @@ def test_sub_system_dimension_can_exceed_parent():
     k_parent = solve_kappa(parent, 1.0).kappa_r
     k_sub = solve_kappa(sub.to_wifs(), 1.0).kappa_r
     assert k_sub > k_parent + 0.4
+
+
+# ---------------------------------------------------------------------------
+# both ends of the range of r
+# ---------------------------------------------------------------------------
+
+
+def test_cantor_kappa_is_exact_at_extreme_orders():
+    target = math.log(2) / math.log(3)
+    for r in (1e-12, 1e5):
+        assert solve_kappa(cantor(), r).kappa_r == pytest.approx(target, rel=1e-12)
+
+
+def test_non_finite_orders_are_refused():
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            solve_kappa(cantor(), r)
+        with pytest.raises(ValueError):
+            kappa_curve(cantor(), [1.0, r])
+
+
+def test_residual_above_tolerance_is_refused(monkeypatch):
+    # |F| at the returned root of this system is a few 1e-17, never 0; with
+    # a zero tolerance every such root must be refused, not returned.
+    res = solve_kappa(_mixed(), 2.0)
+    assert 0.0 < res.residual <= dimension.RESIDUAL_TOL
+    monkeypatch.setattr(dimension, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        solve_kappa(_mixed(), 2.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        kappa_curve(_mixed(), [1.0, 2.0])
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    scales = draw(st.lists(st.floats(0.05, 0.9), min_size=n, max_size=n))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    maps = tuple(similitude_1d(s, float(k)) for k, s in enumerate(scales))
+    return WIFS(maps=maps, probs=tuple(raw / raw.sum()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_systems())
+def test_kappa_tends_to_d0_as_r_vanishes(w):
+    assert abs(solve_kappa(w, 1e-12).kappa_r - d0_dimension(w)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_systems())
+def test_kappa_tends_to_similarity_dimension_as_r_grows(w):
+    sim = similarity_dimension(w)
+    ks = [res.kappa_r for res in kappa_curve(w, [1e2, 1e4, 1e6, 1e12]).results]
+    assert ks[-1] <= sim + 1e-12
+    assert abs(ks[-1] - sim) <= 1e-6
+    gaps = [sim - k for k in ks]
+    assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_systems(), st.lists(st.floats(1e-12, 1e5), min_size=2, max_size=20, unique=True))
+def test_kappa_is_nondecreasing_in_r(w, rs):
+    curve = kappa_curve(w, sorted(rs))
+    ks = [res.kappa_r for res in curve.results]
+    assert curve.monotone
+    assert all(b >= a - MONOTONE_SLACK for a, b in zip(ks, ks[1:]))

@@ -1,10 +1,12 @@
 """Discrete measures: construction, arithmetic, metrics, serialization.
 
-The transport metric is checked two independent ways: the production code
-(sorted-CDF formula in 1-d, min-cost network flow otherwise) against a
-brute-force linear program assembled here from scratch.  Total variation is
-checked against full subset enumeration with dyadic weights so the
-agreement is exact, not approximate.
+The transport metric is checked against independent oracles: the
+production code (sorted-CDF formula in 1-d, a certified HiGHS transport LP
+otherwise) against a brute-force linear program assembled here from
+scratch, and in R^2 against an optimal assignment, which solves the
+transport problem between equal-weight clouds of the same size.  Total
+variation is checked against full subset enumeration with dyadic weights
+so the agreement is exact, not approximate.
 """
 
 import json
@@ -13,8 +15,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
+from qdim import measures
 from qdim.errors import DimensionError, EmptySet, NotNormalized
 from qdim.geometry import Box
 from qdim.measures import (
@@ -201,15 +204,43 @@ def test_dl_matches_lp_oracle_2d():
     assert worst < 1e-9, worst
 
 
+def test_dl_matches_assignment_oracle_2d():
+    # Between equal-weight k-atom clouds some optimal coupling is a
+    # permutation (Birkhoff), so W1 is the assignment cost divided by k.
+    rng = np.random.default_rng(909)
+    for k in (1, 2, 5, 12, 30):
+        a, b = rng.uniform(-1.0, 1.0, size=(2, k, 2))
+        mu, nu = _measure(a, np.full(k, 1.0 / k)), _measure(b, np.full(k, 1.0 / k))
+        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        assert abs(dl(mu, nu) - cost[rows, cols].sum() / k) < 1e-12
+
+
 def test_dl_network_agrees_with_cdf_route_in_1d():
-    # Both internal routes must agree on 1-d inputs; exercises the network
-    # solver on problems where the CDF formula is exact.
-    from qdim.measures import _dl_network, _dl_sorted_cdf
+    # Both internal routes must agree on 1-d inputs; exercises the R^m
+    # transport LP on problems where the CDF formula is exact.
+    from qdim.measures import _dl_sorted_cdf, _dl_transport_lp
 
     rng = np.random.default_rng(303)
     for _ in range(40):
         mu, nu = _random_prob(rng), _random_prob(rng)
-        assert abs(_dl_network(mu, nu) - _dl_sorted_cdf(mu, nu)) < 1e-9
+        assert abs(_dl_transport_lp(mu, nu) - _dl_sorted_cdf(mu, nu)) < 1e-12
+
+
+def test_dl_refuses_a_broken_certificate(monkeypatch):
+    # Duals shifted up by 1 violate u_i + v_j <= C_ij: the value must be
+    # refused, not returned.
+    solve = measures.linprog
+
+    def shifted_duals(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.eqlin.marginals = res.eqlin.marginals + 1.0
+        return res
+
+    monkeypatch.setattr(measures, "linprog", shifted_duals)
+    rng = np.random.default_rng(111)
+    with pytest.raises(RuntimeError, match="certificate"):
+        dl(_random_prob(rng, dim=2), _random_prob(rng, dim=2))
 
 
 def test_dl_symmetry_and_triangle():

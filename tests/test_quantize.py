@@ -165,6 +165,11 @@ def test_optimize_codebook_validates(cantor_samples):
         optimize_codebook(cantor_samples, 4, -1.0)
     with pytest.raises(ValueError):
         optimize_codebook(cantor_samples, 4, 2.0, restarts=0)
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            optimize_codebook(cantor_samples, 4, r)
+        with pytest.raises(ValueError):
+            fit_dimension_from_samples(cantor_samples, r, [4, 8], seed=1)
 
 
 def test_assignment_handles_duplicate_centers():
