@@ -108,6 +108,8 @@ def _parse_floats(field: str, text: str) -> list[float]:
         raise _Invalid(field, f"expected comma-separated numbers, got {text!r}") from exc
     if not vals:
         raise _Invalid(field, "expected at least one number")
+    if not all(math.isfinite(v) for v in vals):
+        raise _Invalid(field, f"expected finite numbers, got {text!r}")
     return vals
 
 
@@ -363,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-sep", help="separation certificate for maps or word families")
     p.add_argument("--wifs", required=True)
-    p.add_argument("--words", help="comma-separated words, e.g. 11,21,31 (default: level 1)")
+    p.add_argument("--words", help="comma-separated words, e.g. 11,21,31 or 1.12,12. "
+                   "for symbols >= 10 (default: level 1)")
     p.add_argument("--condition", choices=["ssc", "osc"], default="ssc")
     p.add_argument("--hull-is-tight", action="store_true",
                    help="allow 1-d violation verdicts (hull known to equal the attractor box)")

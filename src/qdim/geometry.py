@@ -70,10 +70,6 @@ class Box:
 
     # ---- derived boxes -----------------------------------------------------
 
-    def inflate(self, eps: float) -> "Box":
-        """Grow the box outward by ``eps`` in every coordinate."""
-        return Box(self.lo - eps, self.hi + eps)
-
     @staticmethod
     def hull_of(boxes: "list[Box] | tuple[Box, ...]") -> "Box":
         """Smallest box containing every box in the list."""
@@ -100,21 +96,6 @@ class Box:
         """Euclidean distance between the two closed boxes (0 when they meet)."""
         d = np.maximum(0.0, np.maximum(other.lo - self.hi, self.lo - other.hi))
         return float(np.linalg.norm(d))
-
-    def hausdorff_to(self, other: "Box") -> float:
-        """Hausdorff distance between two boxes under the sup norm per corner.
-
-        For axis-aligned boxes the Hausdorff distance is attained at corners,
-        and equals ``max(|lo - lo'|, |hi - hi'|)`` measured in the Euclidean
-        norm coordinate-wise; the simple corner bound below is exact in 1-d
-        and an upper bound that is tight enough for convergence tests in R^m.
-        """
-        return float(
-            max(
-                np.linalg.norm(self.lo - other.lo, ord=np.inf),
-                np.linalg.norm(self.hi - other.hi, ord=np.inf),
-            )
-        )
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,12 +233,13 @@ class Word:
 
     @staticmethod
     def parse(text: str) -> "Word":
-        """Parse "213" (single digits) or "2,1,3" (comma separated)."""
+        """Parse "213" (single digits), "2,1,3" or "1.12" (separated; a
+        trailing dot marks a one-symbol word, as in "12.")."""
         text = text.strip()
         if not text:
             return Word(())
-        if "," in text:
-            return Word(tuple(int(p) for p in text.split(",")))
+        if "," in text or "." in text:
+            return Word(tuple(int(p) for p in re.split("[,.]", text.removesuffix("."))))
         if not text.isdigit():
             raise InvalidWord(f"cannot parse word {text!r}")
         return Word(tuple(int(ch) for ch in text))
@@ -251,7 +253,8 @@ class Word:
     def __str__(self) -> str:
         if all(s <= 9 for s in self.symbols):
             return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        text = ".".join(str(s) for s in self.symbols)
+        return text + "." if len(self.symbols) == 1 else text
 
     def _check_against(self, wifs: WIFS) -> None:
         for s in self.symbols:
@@ -367,53 +370,63 @@ def build_sub_wifs(wifs: WIFS, level: int, suffix: Word, selection) -> SubWIFS:
 # ---------------------------------------------------------------------------
 
 
-def attractor_hull(wifs: WIFS, tol: float = 1e-12, max_iter: int = 200_000) -> Box:
-    """Tight axis-aligned bounding box of the attractor.
+def attractor_hull(wifs: WIFS) -> Box:
+    """Smallest axis-aligned box that every map sends into itself.
 
-    Starts from the a-priori ball bound around a fixed point and iterates
-    ``B -> hull(union_i image_i(B))``, which contracts geometrically at rate
-    ``max scale`` (in 1-d exactly; in R^m with genuinely rotating isometries
-    the per-step factor can be worse, which the iteration cap guards).
-    The result contains the attractor and is invariant for the maps up to a
-    per-coordinate slack of order ``tol``.
+    In coordinates ``y = (-lo, hi)`` the map ``x -> s R x + t`` sends a box
+    to ``A y + b`` with ``A = s [[R+, R-], [R-, R+]] >= 0`` (``R+``, ``R-``
+    the positive and negative parts of ``R``) and ``b = (-t, t)``, so the
+    hull is the fixed point of ``y -> max_i (A_i y + b_i)``.  Policy
+    iteration (Howard, 1960) finds it exactly: fix one map per row, solve
+    ``(I - A_pi) y = b_pi``, and switch a row only where another map
+    reaches strictly further.  Each switch raises ``y``, so no policy
+    repeats and at most ``N**(2m)`` solves are needed.  Raises RuntimeError
+    when a policy matrix has spectral radius >= 1 (a map expands boxes, so
+    no invariant box exists) or a cap is hit.
     """
-    x0 = wifs.maps[0].fixed_point()
-    step = max(float(np.linalg.norm(f.apply(x0) - x0)) for f in wifs.maps)
-    radius = step / (1.0 - wifs.max_scale) + 1.0
-    box = Box(x0 - radius, x0 + radius)
-    for _ in range(max_iter):
-        nxt = Box.hull_of([f.box_image(box) for f in wifs.maps])
-        if nxt.hausdorff_to(box) < tol:
-            box = nxt
+    m, cap = wifs.dim, wifs.n_maps ** (2 * wifs.dim)
+    a = np.array([f.scale * np.block([[np.maximum(f.isometry, 0.0), np.maximum(-f.isometry, 0.0)],
+                                      [np.maximum(-f.isometry, 0.0), np.maximum(f.isometry, 0.0)]])
+                  for f in wifs.maps])
+    b = np.array([np.concatenate([-f.translation, f.translation]) for f in wifs.maps])
+    rows = np.arange(2 * m)
+    policy = np.zeros(2 * m, dtype=int)
+    for _ in range(cap):
+        # Solve for the box and for push = (I - A_pi)^-1 1.  As A_pi >= 0,
+        # its spectral radius is below 1 exactly when push > 0.
+        i_a = np.eye(2 * m) - a[policy, rows]
+        try:
+            y, push = np.linalg.solve(i_a, b[policy, rows]), np.linalg.solve(i_a, np.ones(2 * m))
+        except np.linalg.LinAlgError:  # singular: spectral radius 1
+            push = np.zeros(2 * m)
+        if not np.all(push > 0.0):
+            raise RuntimeError("a map expands boxes (spectral radius >= 1): no invariant box exists")
+        reach = a @ y + b
+        best = reach.argmax(axis=0)
+        switch = reach[best, rows] > reach[policy, rows]
+        if not switch.any():
             break
-        box = nxt
+        policy = np.where(switch, best, policy)
     else:
-        raise RuntimeError(f"attractor hull did not converge within {max_iter} iterations")
+        raise RuntimeError(f"attractor hull: no stable policy within {cap} solves")
+    y = np.maximum(y, -np.roll(y, m))  # a point hull can cross by rounding
 
-    # Polish to a floating-point fixed point.  Starting from a superset, the
-    # iteration keeps contracting below ``tol``; running it until the box
-    # reproduces itself bitwise makes endpoints like 0 and 1 exact rather
-    # than exact-up-to-1e-13, so downstream word images inherit clean floats.
-    for _ in range(5000):
-        nxt = Box.hull_of([f.box_image(box) for f in wifs.maps])
-        if np.array_equal(nxt.lo, box.lo) and np.array_equal(nxt.hi, box.hi):
-            break
-        box = nxt
-
-    # Make the box invariant: absorb any residual outward violation.
+    # The solve is exact up to rounding, but callers use the rounded
+    # box_image: grow the box until every one fits.  Along push each policy
+    # row gains one unit of margin per unit of step; the step starts at the
+    # largest overshoot and doubles until it beats rounding.
+    step = 0.0
     for _ in range(64):
+        box = Box(-y[:m], y[m:])
         images = [f.box_image(box) for f in wifs.maps]
-        overflow = 0.0
-        for img in images:
-            overflow = max(
-                overflow,
-                float(np.max(box.lo - img.lo, initial=0.0)),
-                float(np.max(img.hi - box.hi, initial=0.0)),
-            )
-        if overflow == 0.0:
+        over = float(np.max([np.concatenate([-img.lo, img.hi]) - y for img in images]))
+        if over <= 0.0:
             break
-        box = box.inflate(1.05 * overflow / (1.0 - wifs.max_scale))
-    return box
+        step = max(2.0 * step, over)
+        y = y + step * push
+    else:
+        raise RuntimeError("attractor hull: the rounded map images never fit inside the box")
+    return Box(0.0 - y[:m], y[m:] + 0.0)  # adding to 0.0 turns -0.0 into 0.0
 
 
 # ---------------------------------------------------------------------------

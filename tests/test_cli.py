@@ -8,10 +8,11 @@ the same arguments must be byte-identical.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qdim.cli import main
-from qdim.ifs import WIFS, similitude_1d, wifs_to_json_obj
+from qdim.ifs import WIFS, Similitude, similitude_1d, wifs_to_json_obj
 from qdim.instances import cantor, quarter_maps, uniform_halves
 from qdim.measures import DiscreteMeasure, measure_to_csv
 from qdim.quantize import ladder_seed
@@ -152,6 +153,43 @@ def test_check_sep_rejects_bad_word(wifs_files, capsys):
     assert "error: words" in capsys.readouterr().err
 
 
+def test_check_sep_words_with_symbols_above_nine(tmp_path, capsys):
+    # Twelve maps f_k(x) = x/24 + (k - 1)/12: "12." is f12 alone, "1.12" is
+    # f1 o f12 and "11" is f1 o f1.  The hull is [0, 22/23].
+    w = WIFS(maps=tuple(similitude_1d(1 / 24, k / 12) for k in range(12)),
+             probs=np.full(12, 1 / 12))
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(wifs_to_json_obj(w)))
+    assert main(["check-sep", "--wifs", str(path), "--words", "12.,1.12,11"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["members"] == ["12.", "1.12", "11"] and obj["status"] == "Satisfied"
+    assert obj["images"][0]["lo"] == [11 / 12]
+    assert obj["images"][1]["lo"] == [(11 / 12) / 24]
+
+
+def test_check_sep_refuses_a_map_that_expands_boxes(tmp_path, capsys):
+    c = math.cos(math.pi / 4)
+    rot = Similitude(scale=0.8, isometry=np.array([[c, -c], [c, c]]), translation=np.array([1.0, 0.0]))
+    path = tmp_path / "rot45.json"
+    path.write_text(json.dumps(wifs_to_json_obj(WIFS(maps=(rot,), probs=(1.0,)))))
+    assert main(["check-sep", "--wifs", str(path)]) == 1
+    assert "runtime error" in capsys.readouterr().err
+
+
+def test_check_sep_writes_no_negative_zero(tmp_path, capsys):
+    # Four corner maps of ratio 1/3, the third turned by 90 degrees.  The
+    # hull's lower corner is 0, which the solve returns as -0.0 in lo = -y.
+    eye, rot90 = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+    maps = tuple(Similitude(1 / 3, iso, np.array(t)) for iso, t in
+                 [(eye, [0.0, 0.0]), (eye, [2 / 3, 0.0]), (rot90, [1 / 3, 2 / 3]), (eye, [2 / 3, 2 / 3])])
+    path = tmp_path / "dust.json"
+    path.write_text(json.dumps(wifs_to_json_obj(WIFS(maps=maps, probs=(0.4, 0.3, 0.2, 0.1)))))
+    assert main(["check-sep", "--wifs", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["hull"]["lo"] == [0.0, 0.0]
+    assert "-0.0" not in text
+
+
 def test_subifs_search_empty_suffix(wifs_files, capsys):
     assert main(["subifs-search", "--wifs", wifs_files["t02"]]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -267,6 +305,23 @@ def test_estimate_degenerate_system_is_runtime_error(wifs_files, capsys):
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["measure", "--op", "translate", "--x", "nan"], "x"),
+    (["measure", "--op", "box-mass", "--box-lo", "nan", "--box-hi", "1"], "box-lo"),
+    (["measure", "--op", "box-mass", "--box-lo", "0", "--box-hi", "inf"], "box-hi"),
+    (["estimate", "--n-list", "nan,32"], "n-list"),
+    (["estimate", "--n-list", "16,inf"], "n-list"),
+])
+def test_non_finite_numbers_are_refused(wifs_files, measure_files, capsys, flags, field):
+    mu, _ = measure_files
+    if flags[0] == "measure":
+        argv = flags + ["--a", mu]
+    else:
+        argv = flags + ["--wifs", wifs_files["cantor"], "--r", "2", "--samples", "4000", "--seed", "1"]
+    assert main(argv) == 2
+    assert f"error: {field}: expected finite numbers" in capsys.readouterr().err
 
 
 def test_measure_convolve(measure_files, capsys):

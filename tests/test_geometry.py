@@ -51,17 +51,6 @@ def test_gap_between_boxes():
     assert c.gap_to(d) == pytest.approx(np.sqrt(2.0))
 
 
-def test_inflate():
-    b = Box(np.array([0.0]), np.array([1.0])).inflate(0.25)
-    assert float(b.lo[0]) == -0.25 and float(b.hi[0]) == 1.25
-
-
-def test_hausdorff_between_boxes():
-    a = Box(np.array([0.0]), np.array([1.0]))
-    b = Box(np.array([0.5]), np.array([1.25]))
-    assert a.hausdorff_to(b) == 0.5
-
-
 def test_hausdorff_distance_point_sets():
     a = np.array([[0.0], [1.0]])
     b = np.array([[0.0], [3.0]])

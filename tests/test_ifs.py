@@ -6,8 +6,12 @@ Several tests pin that down with hand-computed images before the property
 tests take over.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdim.errors import EmptySelection, InvalidWord, NotStrictSubset, QdimError
 from qdim.geometry import Box
@@ -85,6 +89,17 @@ def test_word_parse_forms():
     assert str(Word.parse("213")) == "213"
     assert len(Word.parse("11") + Word.parse("2")) == 3
     assert Word.parse("").symbols == ()  # empty text is the empty word
+    # a symbol above 9 switches to dots; one symbol alone takes a trailing dot
+    assert str(Word((12,))) == "12." and Word.parse("12.").symbols == (12,)
+    assert str(Word((1, 12))) == "1.12" and Word.parse("1.12").symbols == (1, 12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 99), max_size=6))
+def test_word_text_round_trips(symbols):
+    text = str(Word(tuple(symbols)))
+    assert "," not in text  # check-sep --words splits its list on commas
+    assert Word.parse(text).symbols == tuple(symbols)
 
 
 @pytest.mark.parametrize("bad", ["0", "a", "1,0", "-2"])
@@ -201,6 +216,60 @@ def test_hull_is_invariant_in_2d():
     for f in w.maps:
         img = f.box_image(h)
         assert h.contains_box(img, slack=1e-9)
+
+
+def _signed_permutations(m):
+    out = []
+    for perm in itertools.permutations(range(m)):
+        for signs in itertools.product((1.0, -1.0), repeat=m):
+            iso = np.zeros((m, m))
+            iso[range(m), perm] = signs
+            out.append(iso)
+    return out
+
+
+@st.composite
+def _signed_permutation_systems(draw):
+    """Reflections and 90-degree rotations in R^1 and R^2, scales up to 0.9999."""
+    m = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 5))
+    maps = tuple(
+        Similitude(draw(st.floats(0.01, 0.9999)),
+                   draw(st.sampled_from(_signed_permutations(m))),
+                   np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))))
+        for _ in range(n))
+    return WIFS(maps=maps, probs=np.full(n, 1.0 / n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_signed_permutation_systems())
+def test_hull_is_an_exact_float_fixed_point(w):
+    h = attractor_hull(w)
+    images = [f.box_image(h) for f in w.maps]
+    assert all(h.contains_box(img) for img in images)  # zero slack
+    # Hulls reach 1e4 at scale 0.9999, where one ulp is 1.8e-12: the
+    # tolerance is relative to the hull's size.
+    tight = Box.hull_of(images)
+    size = max(1.0, float(np.max(np.abs([h.lo, h.hi]))))
+    assert np.max(np.abs(tight.lo - h.lo)) <= 1e-12 * size
+    assert np.max(np.abs(tight.hi - h.hi)) <= 1e-12 * size
+
+
+def test_hull_of_slow_pair_is_exact():
+    # The big map fixes 0 and contracts at 0.9999, the tiny one fixes 1.
+    eps = 3e-5
+    w = WIFS(maps=(similitude_1d(0.9999, 0.0), similitude_1d(eps, 1.0 - eps)), probs=(0.5, 0.5))
+    h = attractor_hull(w)
+    assert (float(h.lo[0]), float(h.hi[0])) == (0.0, 1.0)
+
+
+def test_hull_refuses_a_map_that_expands_boxes():
+    # A 45-degree rotation at scale 0.8 contracts points, but it sends the
+    # box [-1, 1]^2 onto one of half-width 0.8 * sqrt(2) > 1.
+    c = np.cos(np.pi / 4)
+    rot = Similitude(scale=0.8, isometry=np.array([[c, -c], [c, c]]), translation=np.array([1.0, 0.0]))
+    with pytest.raises(RuntimeError, match="spectral radius"):
+        attractor_hull(WIFS(maps=(rot,), probs=(1.0,)))
 
 
 # ---------------------------------------------------------------------------
