@@ -13,10 +13,12 @@ with ``slope`` the least-squares slope of ``-log V_hat`` (resp.
 ``-log e_hat``) against ``log n``.
 
 Codebook optimisation is Lloyd-style: nearest-point assignment alternates
-with per-cell recentering (mean for r = 2, median for r = 1, a bounded
-scalar minimisation for other positive orders, and an exact search over
-cell sample points for the logarithmic objective, whose minimisers sit on
-samples).  Empty cells are re-seeded at the sample farthest from the
+with recentering, which moves every cell at once in any dimension: means
+for r = 2 and, on a line, medians for r = 1; damped Newton steps for the
+other convex orders r >= 1; majorize-minimize (generalised Weiszfeld)
+steps plus a search over cell samples for 0 < r < 1; and a search over
+cell samples for the logarithmic objective, whose minimisers sit on
+samples.  Empty cells are re-seeded at the sample farthest from the
 current codebook.  Log distances are floored at 1e-12 to keep the r = 0
 objective finite.
 
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateFit
@@ -53,14 +54,36 @@ __all__ = [
 #: Floor applied to distances inside logarithms (r = 0 objective).
 EPS_LOG = 1e-12
 
-#: Lloyd stops when the relative distortion improvement drops below this.
+#: Lloyd stops when a round lowers the distortion by less than this times
+#: max(1, |distortion|): an absolute threshold whenever |distortion| < 1,
+#: as most positive-order distortions are, and a relative one only above 1.
 REL_IMPROVEMENT_TOL = 1e-10
 
 #: ... or after this many rounds.
 MAX_ROUNDS = 500
 
-#: Candidate count per cell for the exact r = 0 recentering search.
+#: Candidate count per cell (and per refinement) of the sample search that
+#: recenters for r < 1.
 _LOG_CANDIDATES = 33
+
+#: Cap on majorize-minimize steps (0 < r < 1) per Lloyd round.
+_MM_STEPS = 30
+
+#: Cap on damped Newton steps (r >= 1) per Lloyd round.
+_NEWTON_STEPS = 20
+
+#: Newton Hessians get this times the cell's weight sum on the diagonal: at
+#: r = 1 a cell whose samples are collinear with its center has a singular
+#: Hessian.
+_NEWTON_RIDGE = 1e-6
+
+#: Iterative recentering stops once no center moves by more than this
+#: times the sample scale max(1, max |x|).
+_STEP_TOL = 1e-10
+
+#: Distances below this are raised to it in the d^(r-2) weights, which
+#: would otherwise overflow as a center converges onto a sample.
+_D_FLOOR = 1e-150
 
 
 # ---------------------------------------------------------------------------
@@ -156,44 +179,70 @@ def _assign(x: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, idx
 
 
+def _offsets(xt: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``z[idx] - x`` for samples ``xt`` held as an (m, k) array.
+
+    The kernels below keep one contiguous row per coordinate: on (k, m)
+    arrays with m = 2, numpy's row gathers and row norms are several times
+    slower.
+    """
+    v = np.take(z.T, idx, axis=1)
+    v -= xt
+    return v
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each column of an (m, k) array."""
+    if v.shape[0] == 1:
+        return np.abs(v[0])
+    d = np.einsum("ij,ij->j", v, v)
+    return np.sqrt(d, out=d)
+
+
+def _loss(d: np.ndarray, r: float) -> np.ndarray:
+    """Per-sample order-r loss: d^r, or the floored log-distance at r = 0."""
+    return d ** r if r > 0.0 else np.log(np.maximum(d, EPS_LOG))
+
+
 def _distortion(d: np.ndarray, r: float) -> float:
-    if r > 0.0:
-        return float(np.mean(d ** r))
-    return float(np.mean(np.log(np.maximum(d, EPS_LOG))))
+    return float(np.mean(_loss(d, r)))
 
 
-def _cell_objective(x: np.ndarray, idx: np.ndarray, centers: np.ndarray, r: float, n: int) -> np.ndarray:
+def _cell_objective(xt: np.ndarray, idx: np.ndarray, centers: np.ndarray, r: float,
+                    n: int) -> np.ndarray:
     """Per-cell order-r objective of assigning each sample to centers[idx]."""
-    if x.shape[1] == 1:
-        d = np.abs(x[:, 0] - centers[idx, 0])
-    else:
-        d = np.linalg.norm(x - centers[idx], axis=1)
-    vals = d ** r if r > 0.0 else np.log(np.maximum(d, EPS_LOG))
-    return np.bincount(idx, weights=vals, minlength=n)
+    return np.bincount(idx, weights=_loss(_norm(_offsets(xt, idx, centers)), r), minlength=n)
 
 
 # ---------------------------------------------------------------------------
 # per-cell recentering
 # ---------------------------------------------------------------------------
+#
+# Each kernel moves every cell's center at once, from per-cell sums
+# (``np.bincount`` over the cell index), in any dimension m.  Samples come
+# as ``xt``, an (m, k) array.
 
 
-def _recenter(x: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
-    """Optimal (or safeguarded) new centers for the current assignment."""
-    n = code.shape[0]
-    m = x.shape[1]
+def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
+              r: float) -> np.ndarray:
+    """Optimal (or safeguarded) new centers for the current assignment.
+
+    ``d`` holds each sample's distance to its current center, ``code[idx]``.
+    """
+    n, m = code.shape
     counts = np.bincount(idx, minlength=n)
     nonempty = counts > 0
     new = code.copy()
 
     if r == 2.0:
         for c in range(m):
-            sums = np.bincount(idx, weights=x[:, c], minlength=n)
+            sums = np.bincount(idx, weights=xt[c], minlength=n)
             new[nonempty, c] = sums[nonempty] / counts[nonempty]
         return new
 
     if r == 1.0 and m == 1:
-        order = np.lexsort((x[:, 0], idx))
-        xs = x[order, 0]
+        order = np.lexsort((xt[0], idx))
+        xs = xt[0, order]
         starts = np.searchsorted(idx[order], np.arange(n))
         lo_mid = starts + (counts - 1) // 2
         hi_mid = starts + counts // 2
@@ -201,115 +250,174 @@ def _recenter(x: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float) -> np.
         new[ne, 0] = 0.5 * (xs[lo_mid[ne]] + xs[hi_mid[ne]])
         return new
 
-    if r == 0.0 and m == 1:
-        return _recenter_log_1d(x, idx, code, counts)
+    incumbent = np.bincount(idx, weights=_loss(d, r), minlength=n)
+    if r == 0.0:
+        return _best_candidates(xt, idx, code, r, counts, incumbent)[0]
 
-    # Remaining paths have no closed form; they all end with a keep-better
-    # safeguard so a Lloyd step can never increase the objective.
-    proposal = new.copy()
-    cells = np.nonzero(nonempty)[0]
-    if r == 1.0:
-        for c in cells:
-            proposal[c] = _weiszfeld(x[idx == c], code[c])
-    elif r == 0.0:
-        for c in cells:
-            proposal[c] = _best_log_candidate(x[idx == c], code[c])
-    elif m == 1:
-        order = np.lexsort((x[:, 0], idx))
-        xs = x[order, 0]
-        starts = np.searchsorted(idx[order], np.arange(n))
-        for c in cells:
-            seg = xs[starts[c]:starts[c] + counts[c]]
-            res = minimize_scalar(lambda t: float(np.sum(np.abs(seg - t) ** r)),
-                                  bounds=(float(seg[0]), float(seg[-1])), method="bounded",
-                                  options={"xatol": 1e-13})
-            proposal[c, 0] = res.x
+    # The iterative kernels end with a keep-better safeguard, so a Lloyd
+    # step can never increase the objective.
+    if r >= 1.0:
+        new = _damped_newton(xt, idx, code, r, incumbent)
+        value = _cell_objective(xt, idx, new, r, n)
     else:
-        for c in cells:
-            pts = x[idx == c]
-
-            def fun(z: np.ndarray) -> float:
-                return float(np.sum(np.linalg.norm(pts - z, axis=1) ** r))
-
-            def jac(z: np.ndarray) -> np.ndarray:
-                diff = z - pts
-                d = np.maximum(np.linalg.norm(diff, axis=1), 1e-30)
-                return r * np.sum((d ** (r - 2.0))[:, None] * diff, axis=0)
-
-            res = minimize(fun, code[c], jac=jac, method="L-BFGS-B",
-                           options={"maxiter": 200})
-            proposal[c] = res.x
-
-    worse = _cell_objective(x, idx, proposal, r, n) > _cell_objective(x, idx, code, r, n)
-    proposal[worse] = code[worse]
-    return proposal
-
-
-def _recenter_log_1d(x: np.ndarray, idx: np.ndarray, code: np.ndarray,
-                     counts: np.ndarray) -> np.ndarray:
-    """Exact-on-candidates recentering for the 1-d logarithmic objective.
-
-    Between consecutive samples the map ``c -> sum log|c - x_i|`` is concave,
-    so every local minimiser of the floored objective sits on a sample point.
-    Evaluating all cell samples is quadratic, so we score a spread of cell
-    quantiles (plus the incumbent) and keep the best; the floored log dip at
-    each candidate has the same depth, hence quantile resolution only affects
-    the smooth part of the objective.
-    """
-    n = code.shape[0]
-    order = np.lexsort((x[:, 0], idx))
-    xs = x[order, 0]
-    starts = np.searchsorted(idx[order], np.arange(n))
-    nonempty = counts > 0
-    ne = np.nonzero(nonempty)[0]
-
-    cand_cols = [code[:, 0]]
-    for q in range(_LOG_CANDIDATES):
-        pos = starts + ((counts - 1) * q) // (_LOG_CANDIDATES - 1)
-        col = code[:, 0].copy()
-        col[ne] = xs[pos[ne]]
-        cand_cols.append(col)
-
-    best_val = np.full(n, np.inf)
-    best_col = code[:, 0].copy()
-    for col in cand_cols:
-        per_sample = np.log(np.maximum(np.abs(x[:, 0] - col[idx]), EPS_LOG))
-        val = np.bincount(idx, weights=per_sample, minlength=n)
-        better = nonempty & (val < best_val)
-        best_val[better] = val[better]
-        best_col[better] = col[better]
-    new = code.copy()
-    new[:, 0] = best_col
+        # d^r is concave in d: minimisers sit on or near samples, where the
+        # majoriser's weights blow up and its steps stall, so the better of
+        # its result and the sample candidates wins.
+        new = _majorize_minimize(xt, idx, code, r)
+        value = _cell_objective(xt, idx, new, r, n)
+        cand, cand_value = _best_candidates(xt, idx, code, r, counts, incumbent, refine=True)
+        take = cand_value < value
+        new[take] = cand[take]
+        value[take] = cand_value[take]
+    worse = value > incumbent
+    new[worse] = code[worse]
     return new
 
 
-def _weiszfeld(pts: np.ndarray, start: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Geometric median of a point cloud by damped Weiszfeld iteration."""
-    z = start.astype(float).copy()
-    if pts.shape[0] == 1:
-        return pts[0].copy()
-    scale = max(float(np.max(np.abs(pts))), 1.0)
-    for _ in range(iters):
-        d = np.maximum(np.linalg.norm(pts - z, axis=1), 1e-30)
-        w = 1.0 / d
-        z_next = (pts * w[:, None]).sum(axis=0) / w.sum()
-        if np.max(np.abs(z_next - z)) < 1e-14 * scale:
-            z = z_next
+def _weights(d: np.ndarray, r: float) -> np.ndarray:
+    """``d^(r-2)`` per sample; a sample on its center gets weight 0.
+
+    Such a sample has no tangent to majorise with (and an infinite Newton
+    curvature for r < 2): it would pin the center to itself, and k-means++
+    seeds every center on a sample.  Leaving it out keeps the step defined;
+    the caller's keep-better test covers it.
+    """
+    w = np.maximum(d, _D_FLOOR)
+    w **= r - 2.0
+    w[d == 0.0] = 0.0
+    return w
+
+
+def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
+                     counts: np.ndarray, incumbent: np.ndarray, refine: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Best of the incumbent and a spread of each cell's own samples.
+
+    On a line, between consecutive samples the map ``c -> sum log|c - x_i|``
+    (and ``sum |c - x_i|^r`` for r < 1) is concave, so every local minimiser
+    of the floored objective sits on a sample point.  Scoring all cell
+    samples is quadratic, so we score a spread of cell quantiles (samples
+    ordered by their first coordinate) plus the incumbent, whose per-cell
+    objective is ``incumbent``, and keep the best; the floored log dip at
+    each candidate has the same depth, hence quantile resolution only
+    affects the smooth part of the objective.  With ``refine`` the spread is
+    narrowed around the best quantile and scored again until it holds
+    consecutive samples.  Returns the centers and their per-cell objectives.
+    """
+    n = code.shape[0]
+    order = np.lexsort((xt[0], idx))
+    ne = np.nonzero(counts)[0]
+    starts = np.searchsorted(idx[order], ne)
+    best = code.copy()
+    best_val = incumbent.copy()
+    cand = code.copy()
+    last = counts[ne] - 1
+    lo = np.zeros_like(last)
+    span = last.copy()
+    top = lo.copy()
+    while True:
+        for q in range(_LOG_CANDIDATES):
+            rank = lo + (span * q) // (_LOG_CANDIDATES - 1)
+            cand[ne] = xt[:, order[starts + rank]].T
+            val = _cell_objective(xt, idx, cand, r, n)
+            better = val < best_val
+            best_val[better] = val[better]
+            best[better] = cand[better]
+            top[better[ne]] = rank[better[ne]]
+        if not refine or span.max() < _LOG_CANDIDATES:
+            return best, best_val
+        reach = -(-span // (_LOG_CANDIDATES - 1))
+        lo = np.maximum(top - reach, 0)
+        span = np.minimum(top + reach, last) - lo
+
+
+def _majorize_minimize(xt: np.ndarray, idx: np.ndarray, code: np.ndarray,
+                       r: float) -> np.ndarray:
+    """Generalised Weiszfeld steps for 0 < r < 1, all cells at once.
+
+    ``d^r = (d^2)^(r/2)`` is concave in ``d^2``, so its tangent at the
+    current center majorises the cell objective by a weighted sum of
+    squares with weights ``d^(r-2)``; each step moves the center to that
+    majoriser's minimiser, the weighted mean of the cell.
+    """
+    n = code.shape[0]
+    z = code.copy()
+    tol = _STEP_TOL * max(float(np.max(np.abs(xt))), 1.0)
+    for _ in range(_MM_STEPS):
+        v = _offsets(xt, idx, z)
+        w = _weights(_norm(v), r)
+        wsum = np.bincount(idx, weights=w, minlength=n)
+        step = np.stack([np.bincount(idx, weights=w * vc, minlength=n) for vc in v], axis=1)
+        step /= np.where(wsum > 0.0, wsum, 1.0)[:, None]
+        z -= step
+        if np.max(np.abs(step)) <= tol:
             break
-        z = z_next
     return z
 
 
-def _best_log_candidate(pts: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Best of (strided cell samples + incumbent) for the log objective."""
-    take = np.unique(np.linspace(0, pts.shape[0] - 1, num=min(pts.shape[0], _LOG_CANDIDATES)).astype(int))
-    cands = np.vstack([pts[take], current[None, :]])
-    best, best_val = current, math.inf
-    for c in cands:
-        val = float(np.sum(np.log(np.maximum(np.linalg.norm(pts - c, axis=1), EPS_LOG))))
-        if val < best_val:
-            best, best_val = c, val
-    return np.array(best, dtype=float)
+def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
+                   value: np.ndarray) -> np.ndarray:
+    """Damped Newton steps for r >= 1, all cells at once.
+
+    The cell objective ``sum_i |z - x_i|^r`` (per-cell values ``value`` at
+    ``code``) is convex, with gradient ``r sum_i w_i (z - x_i)`` and Hessian
+    ``r sum_i w_i (I + (r-2) u_i u_i^T)``, where ``w_i = d_i^(r-2)`` and
+    ``u_i`` is the unit vector from ``x_i`` to ``z``.  A cell whose full
+    Newton step does not lower its objective (at r = 1 the Hessian has no
+    radial curvature, so steps near a sample overshoot) falls back to the
+    gradient step scaled by the largest curvature ``max(1, r-1) sum_i w_i``,
+    which for r <= 2 is the majorize-minimize (Weiszfeld) step and so
+    descends, halved until it lowers the objective.  A cell stops once its
+    step is below tolerance without a decrease.
+    """
+    n, m = code.shape
+    z = code.copy()
+    f = value.copy()
+    tol = _STEP_TOL * max(float(np.max(np.abs(xt))), 1.0)
+    eye = np.eye(m)
+    active = np.ones(n, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        v = _offsets(xt, idx, z)
+        d = _norm(v)
+        w = _weights(d, r)
+        wsum = np.bincount(idx, weights=w, minlength=n)
+        grad = np.stack([np.bincount(idx, weights=w * va, minlength=n) for va in v], axis=1)
+        d[d == 0.0] = 1.0
+        v /= d  # now the unit vectors u_i
+        hess = ((1.0 + _NEWTON_RIDGE) * wsum)[:, None, None] * eye
+        for a in range(m):
+            for b in range(a, m):
+                h = (r - 2.0) * np.bincount(idx, weights=w * v[a] * v[b], minlength=n)
+                hess[:, a, b] += h
+                if b != a:
+                    hess[:, b, a] += h
+        flat = wsum <= 0.0
+        hess[flat] = eye
+        newton = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        safe = -grad / np.where(flat, 1.0, max(1.0, r - 1.0) * wsum)[:, None]
+        moved = np.zeros(n, dtype=bool)
+        for step, halve in ((newton, False), (safe, True)):
+            length = np.max(np.abs(step), axis=1)
+            pending = active & ~moved
+            t = 1.0
+            while True:
+                pending &= t * length > tol
+                if not pending.any():
+                    break
+                trial = z + t * step
+                val = _cell_objective(xt, idx, trial, r, n)
+                ok = pending & (val < f)
+                z[ok] = trial[ok]
+                f[ok] = val[ok]
+                moved |= ok
+                pending &= ~ok
+                if not halve:
+                    break
+                t *= 0.5
+        active &= moved
+        if not active.any():
+            break
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +448,7 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float,
     """
     history: list[float] = []
     prev = math.inf
+    xt = np.ascontiguousarray(x.T)
     for _ in range(max_rounds):
         d, idx = _assign(x, code)
         code, reseeded = _reseed_empty(x, code, d, idx)
@@ -350,7 +459,7 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float,
         if prev - dist < REL_IMPROVEMENT_TOL * max(1.0, abs(prev)) and math.isfinite(prev):
             break
         prev = dist
-        code = _recenter(x, idx, code, r)
+        code = _recenter(xt, idx, d, code, r)
     return code, history[-1], history
 
 
@@ -381,25 +490,23 @@ class Codebook:
 def _seed_kmeanspp(x: np.ndarray, n: int, r: float, rng: np.random.Generator) -> np.ndarray:
     """k-means++-style seeding with distance^r weighting (uniform for r = 0)."""
     k = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
     centers = np.empty((n, x.shape[1]))
     centers[0] = x[rng.integers(k)]
-    if x.shape[1] == 1:
-        dmin = np.abs(x[:, 0] - centers[0, 0])
-    else:
-        dmin = np.linalg.norm(x - centers[0], axis=1)
+    dmin = _norm(xt - centers[0][:, None])
     for j in range(1, n):
         w = dmin ** r if r > 0.0 else (dmin > 0.0).astype(float)
         total = float(w.sum())
         if total > 0.0:
-            pick = rng.choice(k, p=w / total)
+            # rng.choice(k, p=w / total) draws exactly this, after a
+            # validation pass over p that costs as much as the draw.
+            cdf = np.cumsum(w / total)
+            cdf /= cdf[-1]
+            pick = int(np.searchsorted(cdf, rng.random(), side="right"))
         else:
             pick = int(rng.integers(k))
         centers[j] = x[pick]
-        if x.shape[1] == 1:
-            dnew = np.abs(x[:, 0] - centers[j, 0])
-        else:
-            dnew = np.linalg.norm(x - centers[j], axis=1)
-        np.minimum(dmin, dnew, out=dmin)
+        np.minimum(dmin, _norm(xt - centers[j][:, None]), out=dmin)
     return centers
 
 

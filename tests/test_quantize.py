@@ -14,11 +14,18 @@ import pytest
 from qdim.errors import DegenerateFit
 from qdim.ifs import WIFS, Similitude, attractor_hull, similitude_1d
 from qdim.instances import cantor, uniform_halves
+from scipy.optimize import minimize
+
 from qdim.quantize import (
+    _LOG_CANDIDATES,
+    EPS_LOG,
     Codebook,
     SampleSet,
     _assign,
+    _cell_objective,
     _lloyd,
+    _recenter,
+    _seed_kmeanspp,
     chaos_game,
     estimate_vnr,
     fit_dimension,
@@ -106,13 +113,139 @@ def test_lloyd_history_never_increases(cantor_samples, r):
     assert np.all(diffs <= 1e-12), f"history increased by {diffs.max()}"
 
 
-@pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5])
 def test_lloyd_history_never_increases_2d(r):
     rng = np.random.default_rng(29)
     pts = rng.uniform(size=(1500, 2))
     init = pts[rng.choice(1500, size=5, replace=False)]
     _, _, history = _lloyd(pts, init, r)
     assert np.all(np.diff(history) <= 1e-12)
+
+
+# Final _lloyd distortions of the per-cell scipy recentering (bounded Brent
+# on a line, L-BFGS-B in R^2) that the batched kernels replaced, on the
+# fixtures of the two history tests above.
+_SCIPY_KERNEL_DISTORTIONS = {
+    ("cantor", 0.25): 0.4042365677520837,
+    ("cantor", 0.5): 0.19357739702038032,
+    ("cantor", 0.75): 0.10281857462837347,
+    ("uniform", 0.25): 0.635495669297427,
+    ("uniform", 0.5): 0.4111539176990412,
+    ("uniform", 0.75): 0.2655846918513788,
+}
+
+
+@pytest.mark.parametrize("fixture, r", sorted(_SCIPY_KERNEL_DISTORTIONS))
+def test_fractional_orders_no_worse_than_scipy_kernel(cantor_samples, fixture, r):
+    if fixture == "cantor":
+        rng = np.random.default_rng(23)
+        pts = cantor_samples.points
+        init = pts[rng.choice(cantor_samples.count, size=6, replace=False)]
+    else:
+        rng = np.random.default_rng(29)
+        pts = rng.uniform(size=(1500, 2))
+        init = pts[rng.choice(1500, size=5, replace=False)]
+    _, dist, _ = _lloyd(pts, init, r)
+    assert dist <= _SCIPY_KERNEL_DISTORTIONS[fixture, r]
+
+
+def _random_cells(m, seed, n=8):
+    """Gaussian blobs of 20..199 samples, each center on one of its samples."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(20, 200, size=n)
+    x = np.concatenate([rng.normal(size=(k, m)) * rng.uniform(0.1, 2.0) + rng.uniform(-5, 5, size=m)
+                        for k in sizes])
+    idx = np.repeat(np.arange(n), sizes)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return x, idx, x[starts + rng.integers(0, sizes)]
+
+
+def _scipy_cell_minimum(pts, r):
+    def fun(z):
+        return float(np.sum(np.linalg.norm(pts - z, axis=1) ** r))
+
+    def jac(z):
+        diff = z - pts
+        d = np.maximum(np.linalg.norm(diff, axis=1), 1e-300)
+        return r * np.sum((d ** (r - 2.0))[:, None] * diff, axis=0)
+
+    res = minimize(fun, pts.mean(axis=0), jac=jac, method="L-BFGS-B",
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 1000})
+    return res.fun
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0, 3.5])
+def test_recenter_reaches_scipy_cell_minimum(m, r):
+    # one recentering from centers on samples (as k-means++ leaves them)
+    # must reach each convex cell objective's minimum
+    for seed in range(4):
+        x, idx, code = _random_cells(m, seed)
+        xt = np.ascontiguousarray(x.T)
+        d = np.linalg.norm(x - code[idx], axis=1)
+        new = _recenter(xt, idx, d, code, r)
+        got = _cell_objective(xt, idx, new, r, code.shape[0])
+        want = np.array([_scipy_cell_minimum(x[idx == c], r) for c in range(code.shape[0])])
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def _log_candidates_reference(x, idx, code):
+    """The per-column loop the batched r = 0 candidate kernel replaced (R^1)."""
+    n = code.shape[0]
+    counts = np.bincount(idx, minlength=n)
+    order = np.lexsort((x[:, 0], idx))
+    xs = x[order, 0]
+    starts = np.searchsorted(idx[order], np.arange(n))
+    ne = np.nonzero(counts)[0]
+    cols = [code[:, 0]]
+    for q in range(_LOG_CANDIDATES):
+        pos = starts + ((counts - 1) * q) // (_LOG_CANDIDATES - 1)
+        col = code[:, 0].copy()
+        col[ne] = xs[pos[ne]]
+        cols.append(col)
+    best_val = np.full(n, np.inf)
+    best = code[:, 0].copy()
+    for col in cols:
+        val = np.bincount(idx, weights=np.log(np.maximum(np.abs(x[:, 0] - col[idx]), EPS_LOG)),
+                          minlength=n)
+        better = (counts > 0) & (val < best_val)
+        best_val[better] = val[better]
+        best[better] = col[better]
+    return best[:, None]
+
+
+def test_log_recentering_is_bit_identical_to_reference_1d(cantor_samples):
+    x = cantor_samples.points
+    rng = np.random.default_rng(37)
+    for n in (3, 16, 64):
+        code = x[rng.choice(cantor_samples.count, size=n, replace=False)]
+        d, idx = _assign(x, code)
+        new = _recenter(np.ascontiguousarray(x.T), idx, d, code, 0.0)
+        np.testing.assert_array_equal(new, _log_candidates_reference(x, idx, code))
+
+
+def _kmeanspp_reference(x, n, r, rng):
+    """k-means++ seeding that draws each pick with ``rng.choice``."""
+    k = x.shape[0]
+    centers = np.empty((n, x.shape[1]))
+    centers[0] = x[rng.integers(k)]
+    dmin = np.linalg.norm(x - centers[0], axis=1)
+    for j in range(1, n):
+        w = dmin ** r if r > 0.0 else (dmin > 0.0).astype(float)
+        total = float(w.sum())
+        pick = rng.choice(k, p=w / total) if total > 0.0 else int(rng.integers(k))
+        centers[j] = x[pick]
+        np.minimum(dmin, np.linalg.norm(x - centers[j], axis=1), out=dmin)
+    return centers
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 3.0])
+def test_kmeanspp_draws_match_generator_choice(m, r):
+    x = np.random.default_rng(41).uniform(size=(3000, m))
+    got = _seed_kmeanspp(x, 48, r, np.random.default_rng([5, 1]))
+    want = _kmeanspp_reference(x, 48, r, np.random.default_rng([5, 1]))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_lloyd_two_clusters_exact():
