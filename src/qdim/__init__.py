@@ -28,7 +28,7 @@ from .errors import (
     QdimError,
     UseD0Path,
 )
-from .geometry import Box, hausdorff_distance
+from .geometry import Box
 from .ifs import (
     WIFS,
     Similitude,
@@ -66,7 +66,6 @@ from .quantize import (
     fit_dimension,
     fit_dimension_from_samples,
     optimize_codebook,
-    quantization_coefficients,
 )
 from .separation import (
     Condition,
@@ -118,7 +117,6 @@ __all__ = [
     "estimate_vnr",
     "fit_dimension",
     "fit_dimension_from_samples",
-    "hausdorff_distance",
     "hutchinson_push",
     "kappa_curve",
     "measure_from_csv",
@@ -127,7 +125,6 @@ __all__ = [
     "measure_to_json_obj",
     "mix",
     "optimize_codebook",
-    "quantization_coefficients",
     "quantization_dimension",
     "search_separated_sub_ifs",
     "similarity_dimension",

@@ -1,4 +1,4 @@
-"""Axis-aligned boxes and small point-set utilities.
+"""Axis-aligned boxes.
 
 Boxes are the workhorse of the invariant-set machinery: attractor hulls are
 boxes, separation checks compare image boxes, and box masses are taken over
@@ -18,17 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptySet
 
-__all__ = ["Box", "hausdorff_distance"]
-
-
-def _as_points(x: np.ndarray) -> np.ndarray:
-    """Coerce to a (k, m) float array; 1-d input is read as k points in R^1."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise DimensionError(f"expected a (k, m) point array, got shape {a.shape}")
-    return a
+__all__ = ["Box"]
 
 
 @dataclass(frozen=True)
@@ -64,10 +54,6 @@ class Box:
     def halfwidth(self) -> np.ndarray:
         return 0.5 * (self.hi - self.lo)
 
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
-
     # ---- derived boxes -----------------------------------------------------
 
     @staticmethod
@@ -85,41 +71,7 @@ class Box:
         """True when ``other`` fits inside this box inflated by ``slack``."""
         return bool(np.all(other.lo >= self.lo - slack) and np.all(other.hi <= self.hi + slack))
 
-    def contains_points(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        """Boolean mask of points lying inside the closed box (with slack)."""
-        p = _as_points(points)
-        if p.shape[1] != self.dim:
-            raise DimensionError(f"points live in R^{p.shape[1]}, box in R^{self.dim}")
-        return np.all((p >= self.lo - slack) & (p <= self.hi + slack), axis=1)
-
     def gap_to(self, other: "Box") -> float:
         """Euclidean distance between the two closed boxes (0 when they meet)."""
         d = np.maximum(0.0, np.maximum(other.lo - self.hi, self.lo - other.hi))
         return float(np.linalg.norm(d))
-
-
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff distance between two finite non-empty point sets in R^m.
-
-    ``max( max_x min_y |x-y|, max_y min_x |x-y| )`` with the Euclidean norm.
-    Uses a KD-tree for the directed nearest-neighbour scans, so sets with
-    10^5 points are fine.
-
-    Raises
-    ------
-    EmptySet
-        if either set has no points.
-    DimensionError
-        if the two sets live in different ambient dimensions.
-    """
-    from scipy.spatial import cKDTree
-
-    pa = _as_points(a)
-    pb = _as_points(b)
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
-        raise EmptySet("hausdorff_distance needs two non-empty point sets")
-    if pa.shape[1] != pb.shape[1]:
-        raise DimensionError(f"point sets live in R^{pa.shape[1]} and R^{pb.shape[1]}")
-    d_ab = cKDTree(pb).query(pa)[0].max()
-    d_ba = cKDTree(pa).query(pb)[0].max()
-    return float(max(d_ab, d_ba))

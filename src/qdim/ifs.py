@@ -36,7 +36,7 @@ from .errors import (
     NotStrictSubset,
     QdimError,
 )
-from .geometry import Box, hausdorff_distance  # re-exported: hull users need both
+from .geometry import Box
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "build_sub_wifs",
     "attractor_hull",
     "hutchinson_push",
-    "hausdorff_distance",
     "wifs_to_json_obj",
     "wifs_from_json_obj",
     "wifs_fingerprint",
@@ -124,13 +123,6 @@ class Similitude:
             self.isometry @ other.isometry,
             self.scale * self.isometry @ other.translation + self.translation,
         )
-
-    def fixed_point(self) -> np.ndarray:
-        """The unique fixed point (requires scale < 1)."""
-        if self.scale >= 1.0:
-            raise ValueError("identity-scale map has no unique fixed point")
-        m = self.dim
-        return np.linalg.solve(np.eye(m) - self.scale * self.isometry, self.translation)
 
     def box_image(self, box: Box) -> Box:
         """Tight axis-aligned enclosure of the image of an axis-aligned box.

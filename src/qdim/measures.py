@@ -137,10 +137,6 @@ class DiscreteMeasure:
     def is_probability(self, tol: float = _NORMALIZATION_TOL) -> bool:
         return abs(self.total - 1.0) <= tol
 
-    def normalized(self) -> "DiscreteMeasure":
-        """Rescale mass to 1."""
-        return DiscreteMeasure(self.atoms, self.weights / self.total)
-
     def __repr__(self) -> str:  # keep reprs short; atoms can be huge
         return f"DiscreteMeasure(size={self.size}, dim={self.dim}, total={self.total:.6g})"
 

@@ -22,12 +22,22 @@ samples.  Empty cells are re-seeded at the sample farthest from the
 current codebook.  Log distances are floored at 1e-12 to keep the r = 0
 objective finite.
 
+On a line the samples are stably sorted once per codebook, and every
+Voronoi cell is an interval, hence a run of that one order.  k-means++
+seeding lowers the nearest-center distances only between a new center's
+midpoints to its neighbours, and draws by descending blocks of weight
+sums; assignment cuts the sorted samples at the code midpoints; medians
+and sample candidates read each cell's run.  Sums (means, distortions,
+objectives) still run in sample order, so a codebook is bit-identical to
+one from per-sample searches.  R^m takes a KD-tree and full rescans.
+
 Everything is reproducible: the chaos game is driven by a single integer
 seed, and each codebook run derives its generator from (seed, n, restart).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -48,7 +58,6 @@ __all__ = [
     "fit_dimension",
     "fit_dimension_from_samples",
     "ladder_seed",
-    "quantization_coefficients",
 ]
 
 #: Floor applied to distances inside logarithms (r = 0 objective).
@@ -80,6 +89,10 @@ _NEWTON_RIDGE = 1e-6
 #: Iterative recentering stops once no center moves by more than this
 #: times the sample scale max(1, max |x|).
 _STEP_TOL = 1e-10
+
+#: Samples per block of the k-means++ draw on a line: one draw sums every
+#: block, then runs through one.
+_DRAW_BLOCK = 256
 
 #: Distances below this are raised to it in the d^(r-2) weights, which
 #: would otherwise overflow as a center converges onto a sample.
@@ -166,15 +179,37 @@ def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleS
 # ---------------------------------------------------------------------------
 
 
-def _assign(x: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and cell indices of each sample to its nearest code point."""
+def _line_order(x: np.ndarray) -> np.ndarray | None:
+    """Stable sort order of samples on a line; None in R^m.
+
+    In 1-d every Voronoi cell is an interval, so under this one order each
+    cell is a contiguous run of samples, ties in x kept in sample order.
+    Seeding, assignment and the per-cell slices all read it.
+    """
+    return np.argsort(x[:, 0], kind="stable") if x.shape[1] == 1 else None
+
+
+def _assign(x: np.ndarray, code: np.ndarray, order: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and cell indices of each sample to its nearest code point.
+
+    On a line the n - 1 code midpoints cut the sorted samples (``order``,
+    from :func:`_line_order` when not given) into the cells: a sample goes
+    to the first code point whose upper midpoint is not below it, as
+    ``searchsorted(mids, x)`` would place it.
+    """
     if x.shape[1] == 1:
-        order = np.argsort(code[:, 0], kind="stable")
-        cs = code[order, 0]
+        if order is None:
+            order = _line_order(x)
+        corder = np.argsort(code[:, 0], kind="stable")
+        cs = code[corder, 0]
         mids = 0.5 * (cs[1:] + cs[:-1])
-        pos = np.searchsorted(mids, x[:, 0])
-        d = np.abs(x[:, 0] - cs[pos])
-        return d, order[pos]
+        cuts = np.searchsorted(x[order, 0], mids, side="right")
+        idx = np.empty(x.shape[0], dtype=np.intp)
+        idx[order] = np.repeat(corder, np.diff(cuts, prepend=0, append=x.shape[0]))
+        d = code[idx, 0]  # |x - c| in place: ``order`` already holds one more array
+        np.subtract(x[:, 0], d, out=d)
+        return np.abs(d, out=d), idx
     d, idx = cKDTree(code).query(x, k=1)
     return d, idx
 
@@ -224,10 +259,13 @@ def _cell_objective(xt: np.ndarray, idx: np.ndarray, centers: np.ndarray, r: flo
 
 
 def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
-              r: float) -> np.ndarray:
+              r: float, order: np.ndarray | None = None) -> np.ndarray:
     """Optimal (or safeguarded) new centers for the current assignment.
 
     ``d`` holds each sample's distance to its current center, ``code[idx]``.
+    ``order``, if given, is a stable sort of the samples under which every
+    cell is one contiguous run, as the 1-d cells of :func:`_assign` are
+    under :func:`_line_order`.
     """
     n, m = code.shape
     counts = np.bincount(idx, minlength=n)
@@ -241,18 +279,16 @@ def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
         return new
 
     if r == 1.0 and m == 1:
-        order = np.lexsort((xt[0], idx))
-        xs = xt[0, order]
-        starts = np.searchsorted(idx[order], np.arange(n))
-        lo_mid = starts + (counts - 1) // 2
-        hi_mid = starts + counts // 2
+        runs, starts = _cell_runs(xt, idx, counts, order)
         ne = np.nonzero(nonempty)[0]
-        new[ne, 0] = 0.5 * (xs[lo_mid[ne]] + xs[hi_mid[ne]])
+        lo_mid = runs[starts[ne] + (counts[ne] - 1) // 2]
+        hi_mid = runs[starts[ne] + counts[ne] // 2]
+        new[ne, 0] = 0.5 * (xt[0, lo_mid] + xt[0, hi_mid])
         return new
 
     incumbent = np.bincount(idx, weights=_loss(d, r), minlength=n)
     if r == 0.0:
-        return _best_candidates(xt, idx, code, r, counts, incumbent)[0]
+        return _best_candidates(xt, idx, code, r, counts, incumbent, order)[0]
 
     # The iterative kernels end with a keep-better safeguard, so a Lloyd
     # step can never increase the objective.
@@ -265,13 +301,32 @@ def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
         # its result and the sample candidates wins.
         new = _majorize_minimize(xt, idx, code, r)
         value = _cell_objective(xt, idx, new, r, n)
-        cand, cand_value = _best_candidates(xt, idx, code, r, counts, incumbent, refine=True)
+        cand, cand_value = _best_candidates(xt, idx, code, r, counts, incumbent, order,
+                                            refine=True)
         take = cand_value < value
         new[take] = cand[take]
         value[take] = cand_value[take]
     worse = value > incumbent
     new[worse] = code[worse]
     return new
+
+
+def _cell_runs(xt: np.ndarray, idx: np.ndarray, counts: np.ndarray,
+               order: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Samples in runs by cell, each run sorted by first coordinate with ties
+    in sample order, and the position where each nonempty cell's run starts.
+
+    With ``order`` (see :func:`_recenter`) the runs are already there and
+    only their starts are read off; otherwise the samples are sorted by
+    cell.  Either way a cell's run holds the same samples in the same order.
+    """
+    if order is None:
+        return np.lexsort((xt[0], idx)), np.cumsum(counts) - counts
+    cell = idx[order]
+    first = np.flatnonzero(cell[1:] != cell[:-1]) + 1
+    starts = np.zeros(counts.size, dtype=np.intp)
+    starts[cell[first]] = first
+    return order, starts
 
 
 def _weights(d: np.ndarray, r: float) -> np.ndarray:
@@ -289,8 +344,8 @@ def _weights(d: np.ndarray, r: float) -> np.ndarray:
 
 
 def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
-                     counts: np.ndarray, incumbent: np.ndarray, refine: bool = False
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     counts: np.ndarray, incumbent: np.ndarray, order: np.ndarray | None,
+                     refine: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Best of the incumbent and a spread of each cell's own samples.
 
     On a line, between consecutive samples the map ``c -> sum log|c - x_i|``
@@ -302,12 +357,13 @@ def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float
     each candidate has the same depth, hence quantile resolution only
     affects the smooth part of the objective.  With ``refine`` the spread is
     narrowed around the best quantile and scored again until it holds
-    consecutive samples.  Returns the centers and their per-cell objectives.
+    consecutive samples.  ``order`` is as in :func:`_recenter`.  Returns the
+    centers and their per-cell objectives.
     """
     n = code.shape[0]
-    order = np.lexsort((xt[0], idx))
+    runs, starts = _cell_runs(xt, idx, counts, order)
     ne = np.nonzero(counts)[0]
-    starts = np.searchsorted(idx[order], ne)
+    starts = starts[ne]
     best = code.copy()
     best_val = incumbent.copy()
     cand = code.copy()
@@ -318,7 +374,7 @@ def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float
     while True:
         for q in range(_LOG_CANDIDATES):
             rank = lo + (span * q) // (_LOG_CANDIDATES - 1)
-            cand[ne] = xt[:, order[starts + rank]].T
+            cand[ne] = xt[:, runs[starts + rank]].T
             val = _cell_objective(xt, idx, cand, r, n)
             better = val < best_val
             best_val[better] = val[better]
@@ -384,6 +440,7 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
         grad = np.stack([np.bincount(idx, weights=w * va, minlength=n) for va in v], axis=1)
         d[d == 0.0] = 1.0
         v /= d  # now the unit vectors u_i
+        del d  # one sample-length array fewer at the step's peak
         hess = ((1.0 + _NEWTON_RIDGE) * wsum)[:, None, None] * eye
         for a in range(m):
             for b in range(a, m):
@@ -439,27 +496,30 @@ def _reseed_empty(x: np.ndarray, code: np.ndarray, d: np.ndarray, idx: np.ndarra
     return code, True
 
 
-def _lloyd(x: np.ndarray, code: np.ndarray, r: float,
-           max_rounds: int = MAX_ROUNDS) -> tuple[np.ndarray, float, list[float]]:
+def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUNDS,
+           order: np.ndarray | None = None) -> tuple[np.ndarray, float, list[float]]:
     """Run Lloyd iterations to (near) convergence.
 
-    Returns the final codebook, its distortion, and the per-round distortion
-    history (non-increasing up to float dust).
+    ``order`` is the samples' :func:`_line_order`, computed here when not
+    given.  Returns the final codebook, its distortion, and the per-round
+    distortion history (non-increasing up to float dust).
     """
     history: list[float] = []
     prev = math.inf
     xt = np.ascontiguousarray(x.T)
+    if order is None:
+        order = _line_order(x)
     for _ in range(max_rounds):
-        d, idx = _assign(x, code)
+        d, idx = _assign(x, code, order)
         code, reseeded = _reseed_empty(x, code, d, idx)
         if reseeded:
-            d, idx = _assign(x, code)
+            d, idx = _assign(x, code, order)
         dist = _distortion(d, r)
         history.append(dist)
         if prev - dist < REL_IMPROVEMENT_TOL * max(1.0, abs(prev)) and math.isfinite(prev):
             break
         prev = dist
-        code = _recenter(xt, idx, d, code, r)
+        code = _recenter(xt, idx, d, code, r, order)
     return code, history[-1], history
 
 
@@ -487,15 +547,28 @@ class Codebook:
         return int(self.points.shape[0])
 
 
-def _seed_kmeanspp(x: np.ndarray, n: int, r: float, rng: np.random.Generator) -> np.ndarray:
-    """k-means++-style seeding with distance^r weighting (uniform for r = 0)."""
+def _seed_kmeanspp(x: np.ndarray, n: int, r: float, rng: np.random.Generator,
+                   order: np.ndarray | None = None) -> np.ndarray:
+    """k-means++-style seeding with distance^r weighting (uniform for r = 0).
+
+    Each pick is the first sample, in sample order, at which the running sum
+    of the weights ``w = dmin^r`` (``dmin > 0`` at r = 0) exceeds
+    ``u * sum(w)`` for ``u = rng.random()``, as ``rng.choice(k, p=w/sum(w))``
+    draws it; with every weight 0 the pick is ``rng.integers(k)``.  A line
+    takes :func:`_seed_line` with the samples' :func:`_line_order`
+    (``order``, computed here when not given); R^m rescans every sample
+    at every draw.
+    """
     k = x.shape[0]
-    xt = np.ascontiguousarray(x.T)
     centers = np.empty((n, x.shape[1]))
     centers[0] = x[rng.integers(k)]
+    if x.shape[1] == 1:
+        _seed_line(x[:, 0], centers[:, 0], r, rng, _line_order(x) if order is None else order)
+        return centers
+    xt = np.ascontiguousarray(x.T)
     dmin = _norm(xt - centers[0][:, None])
     for j in range(1, n):
-        w = dmin ** r if r > 0.0 else (dmin > 0.0).astype(float)
+        w = _seed_weights(dmin, r)
         total = float(w.sum())
         if total > 0.0:
             # rng.choice(k, p=w / total) draws exactly this, after a
@@ -508,6 +581,58 @@ def _seed_kmeanspp(x: np.ndarray, n: int, r: float, rng: np.random.Generator) ->
         centers[j] = x[pick]
         np.minimum(dmin, _norm(xt - centers[j][:, None]), out=dmin)
     return centers
+
+
+def _seed_weights(dmin: np.ndarray, r: float) -> np.ndarray:
+    return dmin ** r if r > 0.0 else (dmin > 0.0).astype(float)
+
+
+def _seed_line(x: np.ndarray, centers: np.ndarray, r: float, rng: np.random.Generator,
+               order: np.ndarray) -> np.ndarray:
+    """Fill ``centers[1:]`` after ``centers[0]`` by the draw of
+    :func:`_seed_kmeanspp` on the samples ``x`` of a line; returns ``dmin``,
+    each sorted sample's distance to its nearest center.
+
+    A new center ``c`` can only be nearest to samples between the midpoints
+    to its neighbours among the centers placed so far: a sample beyond a
+    midpoint is no closer to ``c`` than to that neighbour, in floats as
+    well, since rounding is monotone.  So ``dmin``, kept in sorted order, is
+    lowered with ``np.minimum`` on that range only (widened by one sample
+    each side) and stays bit-identical to a full scan; so do the weights.
+    The draw descends fixed blocks of the sample order: the block sums are
+    recomputed exactly at every draw, never updated by differences, whose
+    rounding drifts as the weights shrink and would move picks; then one
+    block's running sum finds the sample.
+    """
+    k = x.size
+    xs = x[order]
+    dmin = np.abs(xs - centers[0])
+    w = np.empty(k)
+    w[order] = _seed_weights(dmin, r)
+    blocks = np.arange(0, k, _DRAW_BLOCK)
+    placed = [float(centers[0])]
+    for j in range(1, centers.size):
+        cum = np.add.reduceat(w, blocks).cumsum()
+        if cum[-1] > 0.0:
+            target = rng.random() * cum[-1]
+            b = int(cum.searchsorted(target, side="right"))
+            block = w[b * _DRAW_BLOCK:(b + 1) * _DRAW_BLOCK]
+            run = block.cumsum()
+            i = int(run.searchsorted(target - cum[b - 1] if b else target, side="right"))
+            if i == run.size:  # rounding put the target past the block's sum
+                i = int(block.nonzero()[0][-1])
+            pick = b * _DRAW_BLOCK + i
+        else:
+            pick = int(rng.integers(k))
+        c = centers[j] = x[pick]
+        at = bisect.bisect_left(placed, c)
+        lo = max(xs.searchsorted(0.5 * (placed[at - 1] + c)) - 1, 0) if at else 0
+        hi = xs.searchsorted(0.5 * (c + placed[at]), side="right") + 1 if at < len(placed) else k
+        placed.insert(at, float(c))
+        near = dmin[lo:hi]
+        np.minimum(near, np.abs(xs[lo:hi] - c), out=near)
+        w[order[lo:hi]] = _seed_weights(near, r)
+    return dmin
 
 
 def optimize_codebook(samples: SampleSet, n: int, r: float, restarts: int = 5,
@@ -534,9 +659,10 @@ def optimize_codebook(samples: SampleSet, n: int, r: float, restarts: int = 5,
 
     best_code: np.ndarray | None = None
     best_dist = math.inf
+    line = _line_order(x)
     for rep in range(restarts):
         rng = np.random.default_rng([seed, rep])
-        code, dist, _ = _lloyd(x, _seed_kmeanspp(x, n, r, rng), r)
+        code, dist, _ = _lloyd(x, _seed_kmeanspp(x, n, r, rng, line), r, order=line)
         if dist < best_dist:
             best_dist = dist
             best_code = code
@@ -658,21 +784,3 @@ def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
     """
     samples = chaos_game(wifs, samples_per_run, seed, burn_in=burn_in)
     return fit_dimension_from_samples(samples, r, n_list, seed, restarts=restarts)
-
-
-def quantization_coefficients(fit: DimensionFit, s: float) -> list[tuple[int, float]]:
-    """Diagnostic trajectories ``n^(r/s) * V_hat(n)`` for a trial dimension s.
-
-    For r = 0 the analogue ``n^(1/s) * e_hat(n)`` is returned.  Bounded
-    trajectories suggest ``s`` matches the true dimension; this is a
-    qualitative tool only.
-    """
-    if s <= 0.0:
-        raise ValueError(f"trial dimension must be positive, got {s}")
-    out = []
-    for n, v in fit.pairs:
-        if fit.r > 0.0:
-            out.append((n, float(n ** (fit.r / s) * v)))
-        else:
-            out.append((n, float(n ** (1.0 / s) * math.exp(v))))
-    return out

@@ -59,11 +59,6 @@ def test_non_orthogonal_isometry_rejected():
                    translation=np.zeros(2))
 
 
-def test_fixed_point():
-    f = similitude_1d(0.25, 0.2)
-    assert f.fixed_point()[0] == pytest.approx(0.2 / 0.75, rel=1e-14)
-
-
 def test_orientation_flag():
     assert similitude_1d(0.5, 0.0).is_orientation_preserving
     assert not similitude_1d(0.5, 1.0, orientation=-1).is_orientation_preserving
@@ -200,7 +195,7 @@ def test_hull_equals_extreme_fixed_points_in_1d():
         maps = tuple(similitude_1d(float(s), float(t))
                      for s, t in zip(rng.uniform(0.1, 0.6, n), rng.uniform(-1.0, 1.0, n)))
         w = WIFS(maps=maps, probs=tuple([1.0 / n] * n))
-        fixes = [f.fixed_point()[0] for f in maps]
+        fixes = [float(f.translation[0]) / (1.0 - f.scale) for f in maps]  # x = s x + t
         h = attractor_hull(w)
         assert float(h.lo[0]) == pytest.approx(min(fixes), abs=1e-10)
         assert float(h.hi[0]) == pytest.approx(max(fixes), abs=1e-10)

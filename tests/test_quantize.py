@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdim.errors import DegenerateFit
 from qdim.ifs import WIFS, Similitude, attractor_hull, similitude_1d
@@ -26,13 +28,13 @@ from qdim.quantize import (
     _lloyd,
     _recenter,
     _seed_kmeanspp,
+    _seed_line,
     chaos_game,
     estimate_vnr,
     fit_dimension,
     fit_dimension_from_samples,
     ladder_seed,
     optimize_codebook,
-    quantization_coefficients,
 )
 
 
@@ -82,7 +84,8 @@ def test_chaos_game_2d_path():
              probs=(0.5, 0.5))
     s = chaos_game(w, 1000, seed=9)
     assert s.points.shape == (1000, 2)
-    assert attractor_hull(w).contains_points(s.points, slack=1e-9).all()
+    hull = attractor_hull(w)
+    assert np.all((s.points >= hull.lo - 1e-9) & (s.points <= hull.hi + 1e-9))
 
 
 def test_chaos_game_validates():
@@ -248,6 +251,104 @@ def test_kmeanspp_draws_match_generator_choice(m, r):
     np.testing.assert_array_equal(got, want)
 
 
+def test_kmeanspp_float_hostile_r3_matches_reference():
+    # At r = 3 the weights shrink by ~10 decades over 256 draws.  Block sums
+    # kept up to date by adding differences drift by ~1e-7 relative here and
+    # move picks; sums recomputed at every draw must keep all of them.
+    x = chaos_game(cantor(), 30_000, seed=3).points
+    for rep in range(3):
+        got = _seed_kmeanspp(x, 256, 3.0, np.random.default_rng([7, rep]))
+        want = _kmeanspp_reference(x, 256, 3.0, np.random.default_rng([7, rep]))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_kmeanspp_r0_falls_back_once_every_point_is_a_center():
+    # Five distinct values: at r = 0 the first five picks take each of them,
+    # then every weight is 0 and the picks come from rng.integers.
+    x = np.random.default_rng(43).integers(0, 5, size=(400, 1)).astype(float)
+    got = _seed_kmeanspp(x, 12, 0.0, np.random.default_rng([5, 2]))
+    want = _kmeanspp_reference(x, 12, 0.0, np.random.default_rng([5, 2]))
+    np.testing.assert_array_equal(got, want)
+    assert np.unique(got[:5]).size == 5
+
+
+def _line_fixture(name):
+    if name == "cantor":
+        return chaos_game(cantor(), 5000, seed=17).points
+    # eighths: duplicate samples, and samples exactly on center midpoints
+    return np.random.default_rng(47).integers(0, 64, size=(3000, 1)) / 8.0
+
+
+@pytest.mark.parametrize("fixture", ["cantor", "grid"])
+@pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 3.0])
+def test_line_seeding_dmin_matches_full_scan(fixture, r):
+    # dmin, updated between the new center's midpoints only, must equal a
+    # full scan bit for bit after every draw
+    x = _line_fixture(fixture)
+    order = np.argsort(x[:, 0], kind="stable")
+    xs = x[order, 0]
+    full = _seed_kmeanspp(x, 40, r, np.random.default_rng([9, 0]))
+    np.testing.assert_array_equal(full, _kmeanspp_reference(x, 40, r, np.random.default_rng([9, 0])))
+    for j in range(1, 41):
+        rng = np.random.default_rng([9, 0])
+        centers = np.empty(j)
+        centers[0] = x[rng.integers(x.shape[0]), 0]
+        dmin = _seed_line(x[:, 0], centers, r, rng, order)
+        np.testing.assert_array_equal(centers, full[:j, 0])
+        np.testing.assert_array_equal(dmin, np.min(np.abs(xs[:, None] - centers), axis=1))
+
+
+def _assign_by_midpoint_search(x, code):
+    """The 1-d assignment the midpoint cuts replaced: each sample searched
+    among the sorted code midpoints."""
+    order = np.argsort(code[:, 0], kind="stable")
+    cs = code[order, 0]
+    mids = 0.5 * (cs[1:] + cs[:-1])
+    pos = np.searchsorted(mids, x[:, 0])
+    return np.abs(x[:, 0] - cs[pos]), order[pos]
+
+
+@st.composite
+def _line_assignments(draw):
+    eighths = st.integers(-40, 40).map(lambda i: i / 8.0)
+    values = eighths | st.floats(-10.0, 10.0)
+    code = draw(st.lists(values, min_size=1, max_size=12))
+    cs = sorted(code)
+    on_mids = [0.5 * (a + b) for a, b in zip(cs, cs[1:])]
+    x = draw(st.lists(values | st.sampled_from(code + on_mids), min_size=1, max_size=60))
+    return np.array(x)[:, None], np.array(code)[:, None]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_line_assignments())
+@example((np.array([[-1.0], [0.0], [2.5]]), np.array([[0.5]])))
+@example((np.array([[0.25], [0.5], [0.75], [1.0]]), np.array([[0.5], [0.5], [1.0]])))
+@example((np.array([[0.5], [0.5], [0.0], [1.0]]), np.array([[1.0], [0.0]])))
+def test_line_assignment_matches_midpoint_search(case):
+    x, code = case
+    d, idx = _assign(x, code)
+    want_d, want_idx = _assign_by_midpoint_search(x, code)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(d, want_d)
+
+
+@pytest.mark.parametrize("fixture", ["cantor", "grid"])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_line_cells_read_from_the_sorted_samples(fixture, r):
+    # 1-d cells are runs of the samples' stable sort: reading them there
+    # must give the centers that sorting the samples by cell gives
+    x = _line_fixture(fixture)
+    order = np.argsort(x[:, 0], kind="stable")
+    xt = np.ascontiguousarray(x.T)
+    rng = np.random.default_rng(37)
+    for n in (3, 16, 40):
+        code = x[rng.choice(x.shape[0], size=n, replace=False)]
+        code[1] = code[0]  # a duplicate center leaves one cell empty
+        d, idx = _assign(x, code, order)
+        np.testing.assert_array_equal(_recenter(xt, idx, d, code, r, order),
+                                      _recenter(xt, idx, d, code, r))
+
+
 def test_lloyd_two_clusters_exact():
     # two tight clusters, two centers: optimum is the cluster means (r = 2)
     pts = np.concatenate([np.full(50, 0.0), np.full(50, 1.0)])[:, None]
@@ -381,15 +482,3 @@ def test_ladder_seed_is_frozen():
     assert ladder_seed(7, 16) == 3742620831
     assert ladder_seed(7, 32) == 154893639
     assert ladder_seed(8, 16) != ladder_seed(7, 16)
-
-
-def test_quantization_coefficients_diagnostic():
-    samples = chaos_game(uniform_halves(), 20_000, seed=59)
-    fit = fit_dimension_from_samples(samples, 2.0, [8, 16, 32], seed=61, restarts=2)
-    traj = quantization_coefficients(fit, 1.0)
-    assert [n for n, _ in traj] == [8, 16, 32]
-    vals = [v for _, v in traj]
-    # at the true dimension the rescaled errors stay within a small band
-    assert max(vals) / min(vals) < 2.0
-    with pytest.raises(ValueError):
-        quantization_coefficients(fit, -1.0)
