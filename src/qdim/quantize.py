@@ -26,10 +26,20 @@ On a line the samples are stably sorted once per codebook, and every
 Voronoi cell is an interval, hence a run of that one order.  k-means++
 seeding lowers the nearest-center distances only between a new center's
 midpoints to its neighbours, and draws by descending blocks of weight
-sums; assignment cuts the sorted samples at the code midpoints; medians
-and sample candidates read each cell's run.  Sums (means, distortions,
-objectives) still run in sample order, so a codebook is bit-identical to
-one from per-sample searches.  R^m takes a KD-tree and full rescans.
+sums; assignment cuts the sorted samples, gathered once per Lloyd run, at
+the code midpoints; medians and sample candidates read each cell's run.
+
+A Lloyd round spends its work on what can still change.  In R^m each
+sample carries a lower bound on its distance to the centers other than its
+own (Hamerly's drift update, Elkan's center-gap lemma), and only samples
+whose bound no longer clears their own distance are queried again in a
+KD-tree.  Damped Newton steps and their trials read only the samples of
+the cells still moving, and at r = 0 a recentering searches only the cells
+whose sample set changed since the previous one (both read every sample
+while those cells hold more than half of them).  Sums (means,
+distortions, objectives) still run in sample order, so every assignment,
+center and distortion is bit-identical to full rescans and per-sample
+searches.
 
 Everything is reproducible: the chaos game is driven by a single integer
 seed, and each codebook run derives its generator from (seed, n, restart).
@@ -38,6 +48,7 @@ seed, and each codebook run derives its generator from (seed, n, restart).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,6 +104,13 @@ _STEP_TOL = 1e-10
 #: Samples per block of the k-means++ draw on a line: one draw sums every
 #: block, then runs through one.
 _DRAW_BLOCK = 256
+
+#: A sample keeps its R^m center without a KD-tree query only when its
+#: distance undercuts its lower bound to the other centers by this times the
+#: scale max(1, max |x|, max |code|).  Each round's bound arithmetic rounds
+#: by a few ulps of that scale, so even MAX_ROUNDS rounds without a query
+#: stay below 1e-12 of it.
+_BOUND_SLACK = 1e-10
 
 #: Distances below this are raised to it in the d^(r-2) weights, which
 #: would otherwise overflow as a center converges onto a sample.
@@ -193,25 +211,104 @@ def _assign(x: np.ndarray, code: np.ndarray, order: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and cell indices of each sample to its nearest code point.
 
-    On a line the n - 1 code midpoints cut the sorted samples (``order``,
-    from :func:`_line_order` when not given) into the cells: a sample goes
-    to the first code point whose upper midpoint is not below it, as
-    ``searchsorted(mids, x)`` would place it.
+    On a line the samples' :func:`_line_order` (``order``, computed here
+    when not given) serves :func:`_assign_line`; R^m takes a KD-tree query.
     """
     if x.shape[1] == 1:
         if order is None:
             order = _line_order(x)
-        corder = np.argsort(code[:, 0], kind="stable")
-        cs = code[corder, 0]
-        mids = 0.5 * (cs[1:] + cs[:-1])
-        cuts = np.searchsorted(x[order, 0], mids, side="right")
-        idx = np.empty(x.shape[0], dtype=np.intp)
-        idx[order] = np.repeat(corder, np.diff(cuts, prepend=0, append=x.shape[0]))
-        d = code[idx, 0]  # |x - c| in place: ``order`` already holds one more array
-        np.subtract(x[:, 0], d, out=d)
-        return np.abs(d, out=d), idx
+        return _assign_line(x[:, 0], x[order, 0], order, code)
     d, idx = cKDTree(code).query(x, k=1)
     return d, idx
+
+
+def _assign_line(x: np.ndarray, xs: np.ndarray, order: np.ndarray, code: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_assign` for samples ``x`` on a line, sorted as ``xs = x[order]``.
+
+    The n - 1 code midpoints cut the sorted samples into the cells: a sample
+    goes to the first code point whose upper midpoint is not below it, as
+    ``searchsorted(mids, x)`` would place it.
+    """
+    corder = np.argsort(code[:, 0], kind="stable")
+    cs = code[corder, 0]
+    mids = 0.5 * (cs[1:] + cs[:-1])
+    cuts = np.searchsorted(xs, mids, side="right")
+    idx = np.empty(x.size, dtype=np.intp)
+    idx[order] = np.repeat(corder, np.diff(cuts, prepend=0, append=x.size))
+    d = code[idx, 0]  # |x - c| in place: the caller already holds two more arrays
+    np.subtract(x, d, out=d)
+    return np.abs(d, out=d), idx
+
+
+class _BoundedAssign:
+    """Exact nearest-center assignment in R^m along one Lloyd run's codebooks.
+
+    Each sample keeps its center ``idx`` and a lower bound ``low`` on its
+    distance to every other center.  A new codebook lowers ``low`` by the
+    largest drift among the other centers (Hamerly, SDM 2010), then raises
+    it to ``gap - d``, where ``gap`` is the own center's distance to its
+    nearest other center (Elkan, ICML 2003: |x - c_j| >= |c_a - c_j| - d).
+    ``d`` is computed exactly, as the KD-tree computes it.  A sample
+    whose ``d`` stays below ``low`` by ``_BOUND_SLACK`` times the scale
+    keeps its center; only the others are queried again.  Each call returns
+    new ``d`` and ``idx`` arrays, equal to ``cKDTree(code).query(x, k=1)``.
+    """
+
+    def __init__(self, x: np.ndarray, xt: np.ndarray):
+        self.x, self.xt = x, xt
+        self.scale = max(1.0, float(np.max(np.abs(xt))))
+        self.code: np.ndarray | None = None
+
+    def __call__(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tree = cKDTree(code)
+        slack = _BOUND_SLACK * max(self.scale, float(np.max(np.abs(code))))
+        if self.code is None:
+            d, idx, low = _query_two(tree, self.x, slack)
+        else:
+            idx, low = self.idx.copy(), self.low
+            low -= _largest_other(_norm((code - self.code).T), idx)
+            d = _tree_norm(_offsets(self.xt, idx, code))
+            bound = tree.query(code, k=2)[0][idx, 1]
+            bound -= d
+            np.maximum(low, bound, out=low)
+            bound = np.subtract(low, slack, out=bound)
+            stale = np.flatnonzero(~(d < bound))
+            del bound
+            if stale.size:
+                d[stale], idx[stale], low[stale] = _query_two(tree, self.x[stale], slack)
+        self.code, self.idx, self.low = code.copy(), idx, low
+        return d, idx
+
+
+def _query_two(tree: cKDTree, x: np.ndarray, slack: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-center distances and indices of ``x``, as a ``k=1`` query gives
+    them, and a lower bound on each sample's distance to every other center.
+
+    A ``k=2`` query serves samples whose two nearest centers are more than
+    ``slack`` apart; the rest take a ``k=1`` query, so that ties resolve as
+    in a full ``k=1`` query.  Their bound is the nearest distance.
+    """
+    dd, ii = tree.query(x, k=2)
+    idx = ii[:, 0].copy()
+    del ii
+    d, low = dd[:, 0].copy(), dd[:, 1].copy()
+    del dd
+    tie = np.flatnonzero(~(low - d > slack))
+    if tie.size:
+        low[tie] = d[tie]
+        d[tie], idx[tie] = tree.query(x[tie], k=1)
+    return d, idx, low
+
+
+def _largest_other(drift: np.ndarray, idx: np.ndarray) -> np.ndarray | float:
+    """Per sample, the largest ``drift`` among the centers other than ``idx``."""
+    if drift.size < 2:
+        return 0.0
+    top = int(np.argmax(drift))
+    second = float(np.max(np.delete(drift, top)))
+    return np.where(idx == top, second, drift[top])
 
 
 def _offsets(xt: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -232,6 +329,29 @@ def _norm(v: np.ndarray) -> np.ndarray:
         return np.abs(v[0])
     d = np.einsum("ij,ij->j", v, v)
     return np.sqrt(d, out=d)
+
+
+def _tree_norm(v: np.ndarray) -> np.ndarray:
+    """:func:`_norm` summed in the order of scipy's KD-tree distance, so it
+    equals the tree's distance bit for bit: four running sums over the
+    coordinates in steps of four, added in turn, then the remaining
+    coordinates one at a time.  Below m = 8 that is :func:`_norm`'s order.
+    Overwrites ``v``.
+    """
+    m = v.shape[0]
+    sq = np.multiply(v, v, out=v)
+    head = m - m % 4
+    if head:
+        acc = sq[:4]
+        for i in range(4, head, 4):
+            acc += sq[i:i + 4]
+        s = acc[0] + acc[1] + acc[2] + acc[3]
+    else:
+        s = sq[0].copy()  # squares are >= +0, so 0 + sq[0] is sq[0]
+        head = 1
+    for i in range(head, m):
+        s += sq[i]
+    return np.sqrt(s, out=s)
 
 
 def _loss(d: np.ndarray, r: float) -> np.ndarray:
@@ -259,13 +379,18 @@ def _cell_objective(xt: np.ndarray, idx: np.ndarray, centers: np.ndarray, r: flo
 
 
 def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
-              r: float, order: np.ndarray | None = None) -> np.ndarray:
+              r: float, order: np.ndarray | None = None, changed: np.ndarray | None = None
+              ) -> np.ndarray:
     """Optimal (or safeguarded) new centers for the current assignment.
 
     ``d`` holds each sample's distance to its current center, ``code[idx]``.
     ``order``, if given, is a stable sort of the samples under which every
     cell is one contiguous run, as the 1-d cells of :func:`_assign` are
-    under :func:`_line_order`.
+    under :func:`_line_order`.  ``changed``, if given at r = 0, masks the
+    cells whose sample set changed since the recentering that produced
+    ``code``: every other cell's center won that search over the same
+    samples, with the same value, so no candidate can beat it and only the
+    changed cells are searched.
     """
     n, m = code.shape
     counts = np.bincount(idx, minlength=n)
@@ -288,40 +413,40 @@ def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
 
     incumbent = np.bincount(idx, weights=_loss(d, r), minlength=n)
     if r == 0.0:
-        return _best_candidates(xt, idx, code, r, counts, incumbent, order)[0]
-
-    # The iterative kernels end with a keep-better safeguard, so a Lloyd
-    # step can never increase the objective.
+        return _best_candidates(xt, idx, code, r, counts, incumbent, order, cells=changed)[0]
     if r >= 1.0:
-        new = _damped_newton(xt, idx, code, r, incumbent)
-        value = _cell_objective(xt, idx, new, r, n)
-    else:
-        # d^r is concave in d: minimisers sit on or near samples, where the
-        # majoriser's weights blow up and its steps stall, so the better of
-        # its result and the sample candidates wins.
-        new = _majorize_minimize(xt, idx, code, r)
-        value = _cell_objective(xt, idx, new, r, n)
-        cand, cand_value = _best_candidates(xt, idx, code, r, counts, incumbent, order,
-                                            refine=True)
-        take = cand_value < value
-        new[take] = cand[take]
-        value[take] = cand_value[take]
+        return _damped_newton(xt, idx, code, r, incumbent)[0]
+
+    # d^r is concave in d: minimisers sit on or near samples, where the
+    # majoriser's weights blow up and its steps stall, so the better of its
+    # result and the sample candidates wins, and the incumbent if neither
+    # improves on it.
+    new = _majorize_minimize(xt, idx, code, r)
+    value = _cell_objective(xt, idx, new, r, n)
+    cand, cand_value = _best_candidates(xt, idx, code, r, counts, incumbent, order, refine=True)
+    take = cand_value < value
+    new[take] = cand[take]
+    value[take] = cand_value[take]
     worse = value > incumbent
     new[worse] = code[worse]
     return new
 
 
 def _cell_runs(xt: np.ndarray, idx: np.ndarray, counts: np.ndarray,
-               order: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+               order: np.ndarray | None, sel: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Samples in runs by cell, each run sorted by first coordinate with ties
     in sample order, and the position where each nonempty cell's run starts.
 
     With ``order`` (see :func:`_recenter`) the runs are already there and
     only their starts are read off; otherwise the samples are sorted by
-    cell.  Either way a cell's run holds the same samples in the same order.
+    cell, only those in ``sel`` (sample indices in sample order, the cells
+    whose ``counts`` are kept nonzero) when it is given.  Either way a
+    cell's run holds the same samples in the same order.
     """
     if order is None:
-        return np.lexsort((xt[0], idx)), np.cumsum(counts) - counts
+        runs = np.lexsort((xt[0], idx)) if sel is None else sel[np.lexsort((xt[0, sel], idx[sel]))]
+        return runs, np.cumsum(counts) - counts
     cell = idx[order]
     first = np.flatnonzero(cell[1:] != cell[:-1]) + 1
     starts = np.zeros(counts.size, dtype=np.intp)
@@ -345,7 +470,8 @@ def _weights(d: np.ndarray, r: float) -> np.ndarray:
 
 def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
                      counts: np.ndarray, incumbent: np.ndarray, order: np.ndarray | None,
-                     refine: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                     refine: bool = False, cells: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Best of the incumbent and a spread of each cell's own samples.
 
     On a line, between consecutive samples the map ``c -> sum log|c - x_i|``
@@ -357,12 +483,22 @@ def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float
     each candidate has the same depth, hence quantile resolution only
     affects the smooth part of the objective.  With ``refine`` the spread is
     narrowed around the best quantile and scored again until it holds
-    consecutive samples.  ``order`` is as in :func:`_recenter`.  Returns the
-    centers and their per-cell objectives.
+    consecutive samples.  ``order`` is as in :func:`_recenter`.  Only the
+    cells in the mask ``cells`` (all when None) are searched, over their own
+    samples (see :func:`_samples_of`); the rest keep the incumbent.  Returns the centers and
+    their per-cell objectives.
     """
     n = code.shape[0]
-    runs, starts = _cell_runs(xt, idx, counts, order)
-    ne = np.nonzero(counts)[0]
+    xs, ids, sel = xt, idx, None
+    searched = counts > 0
+    if cells is not None:
+        searched &= cells
+        xs, ids = _samples_of(xt, idx, cells)
+        if ids is not idx:  # copies: sort only those samples
+            sel = np.flatnonzero(cells[idx])
+            counts = np.where(cells, counts, 0)
+    runs, starts = _cell_runs(xt, idx, counts, order, sel)
+    ne = np.flatnonzero(searched)
     starts = starts[ne]
     best = code.copy()
     best_val = incumbent.copy()
@@ -375,11 +511,12 @@ def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float
         for q in range(_LOG_CANDIDATES):
             rank = lo + (span * q) // (_LOG_CANDIDATES - 1)
             cand[ne] = xt[:, runs[starts + rank]].T
-            val = _cell_objective(xt, idx, cand, r, n)
-            better = val < best_val
-            best_val[better] = val[better]
-            best[better] = cand[better]
-            top[better[ne]] = rank[better[ne]]
+            val = _cell_objective(xs, ids, cand, r, n)[ne]
+            better = val < best_val[ne]
+            won = ne[better]
+            best_val[won] = val[better]
+            best[won] = cand[won]
+            top[better] = rank[better]
         if not refine or span.max() < _LOG_CANDIDATES:
             return best, best_val
         reach = -(-span // (_LOG_CANDIDATES - 1))
@@ -412,7 +549,7 @@ def _majorize_minimize(xt: np.ndarray, idx: np.ndarray, code: np.ndarray,
 
 
 def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
-                   value: np.ndarray) -> np.ndarray:
+                   value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton steps for r >= 1, all cells at once.
 
     The cell objective ``sum_i |z - x_i|^r`` (per-cell values ``value`` at
@@ -425,6 +562,13 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
     which for r <= 2 is the majorize-minimize (Weiszfeld) step and so
     descends, halved until it lowers the objective.  A cell stops once its
     step is below tolerance without a decrease.
+
+    Each step reads only the samples of the cells still active, and each
+    trial only those of the cells it tries (see :func:`_samples_of`);
+    per-cell sums keep sample order, so they equal full-sample sums bit for
+    bit.  Returns the centers and their
+    per-cell objectives: a moved cell's is ``_cell_objective`` at its new
+    center, below its ``value``, and every other cell keeps its ``value``.
     """
     n, m = code.shape
     z = code.copy()
@@ -448,6 +592,7 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
                 hess[:, a, b] += h
                 if b != a:
                     hess[:, b, a] += h
+        del v, w  # the trials below need no sample-length step arrays
         flat = wsum <= 0.0
         hess[flat] = eye
         newton = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
@@ -462,7 +607,7 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
                 if not pending.any():
                     break
                 trial = z + t * step
-                val = _cell_objective(xt, idx, trial, r, n)
+                val = _cell_objective(*_samples_of(xt, idx, pending), trial, r, n)
                 ok = pending & (val < f)
                 z[ok] = trial[ok]
                 f[ok] = val[ok]
@@ -474,7 +619,20 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
         active &= moved
         if not active.any():
             break
-    return z
+        xt, idx = _samples_of(xt, idx, active)
+    return z, f
+
+
+def _samples_of(xt: np.ndarray, idx: np.ndarray, cells: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of the cells in the mask ``cells`` and their cell indices,
+    in sample order, or the arrays themselves when the cells hold more than
+    half of them: per-cell sums over those cells are the same either way,
+    and the copies would take more memory than the samples they leave out."""
+    keep = cells[idx]
+    if 2 * np.count_nonzero(keep) > keep.size:
+        return xt, idx
+    return xt[:, keep], idx[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +659,47 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUN
     """Run Lloyd iterations to (near) convergence.
 
     ``order`` is the samples' :func:`_line_order`, computed here when not
-    given.  Returns the final codebook, its distortion, and the per-round
-    distortion history (non-increasing up to float dust).
+    given; on a line the sorted sample values are gathered once per run.
+    R^m assigns through :class:`_BoundedAssign`.  At r = 0 each recentering
+    searches only the cells whose sample set changed since the previous one.
+    Returns the final codebook, its distortion, and the per-round distortion
+    history (non-increasing up to float dust).
     """
     history: list[float] = []
     prev = math.inf
     xt = np.ascontiguousarray(x.T)
     if order is None:
         order = _line_order(x)
+    if order is None:
+        assign = _BoundedAssign(x, xt)
+    else:
+        assign = functools.partial(_assign_line, xt[0], xt[0, order], order)
+    before = None
     for _ in range(max_rounds):
-        d, idx = _assign(x, code, order)
+        d, idx = assign(code)
         code, reseeded = _reseed_empty(x, code, d, idx)
         if reseeded:
-            d, idx = _assign(x, code, order)
+            d, idx = assign(code)
         dist = _distortion(d, r)
         history.append(dist)
         if prev - dist < REL_IMPROVEMENT_TOL * max(1.0, abs(prev)) and math.isfinite(prev):
             break
         prev = dist
-        code = _recenter(xt, idx, d, code, r, order)
+        changed = None
+        if r == 0.0 and before is not None:
+            changed = _changed_cells(before, idx, code.shape[0])
+        code = _recenter(xt, idx, d, code, r, order, changed)
+        before = idx
     return code, history[-1], history
+
+
+def _changed_cells(before: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the cells that gained or lost a sample from ``before`` to ``idx``."""
+    moved = np.flatnonzero(before != idx)
+    changed = np.zeros(n, dtype=bool)
+    changed[before[moved]] = True
+    changed[idx[moved]] = True
+    return changed
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,19 +13,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qdim.quantize as quantize
 from qdim.errors import DegenerateFit
 from qdim.ifs import WIFS, Similitude, attractor_hull, similitude_1d
 from qdim.instances import cantor, uniform_halves
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from qdim.quantize import (
     _LOG_CANDIDATES,
+    _NEWTON_RIDGE,
+    _NEWTON_STEPS,
+    _STEP_TOL,
     EPS_LOG,
     Codebook,
     SampleSet,
     _assign,
+    _BoundedAssign,
     _cell_objective,
+    _damped_newton,
     _lloyd,
+    _loss,
     _recenter,
     _seed_kmeanspp,
     _seed_line,
@@ -192,6 +200,79 @@ def test_recenter_reaches_scipy_cell_minimum(m, r):
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
+def _damped_newton_reference(xt, idx, code, r, value):
+    """The damped Newton kernel as it was before steps and trials read only
+    the samples of the cells they move: every sum runs over all samples."""
+    n, m = code.shape
+    z = code.copy()
+    f = value.copy()
+    tol = _STEP_TOL * max(float(np.max(np.abs(xt))), 1.0)
+    eye = np.eye(m)
+    active = np.ones(n, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        v = np.take(z.T, idx, axis=1) - xt
+        d = np.sqrt(np.einsum("ij,ij->j", v, v)) if m > 1 else np.abs(v[0])
+        w = np.maximum(d, 1e-150) ** (r - 2.0)
+        w[d == 0.0] = 0.0
+        wsum = np.bincount(idx, weights=w, minlength=n)
+        grad = np.stack([np.bincount(idx, weights=w * va, minlength=n) for va in v], axis=1)
+        d[d == 0.0] = 1.0
+        v /= d
+        hess = ((1.0 + _NEWTON_RIDGE) * wsum)[:, None, None] * eye
+        for a in range(m):
+            for b in range(a, m):
+                h = (r - 2.0) * np.bincount(idx, weights=w * v[a] * v[b], minlength=n)
+                hess[:, a, b] += h
+                if b != a:
+                    hess[:, b, a] += h
+        flat = wsum <= 0.0
+        hess[flat] = eye
+        newton = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        safe = -grad / np.where(flat, 1.0, max(1.0, r - 1.0) * wsum)[:, None]
+        moved = np.zeros(n, dtype=bool)
+        for step, halve in ((newton, False), (safe, True)):
+            length = np.max(np.abs(step), axis=1)
+            pending = active & ~moved
+            t = 1.0
+            while True:
+                pending &= t * length > tol
+                if not pending.any():
+                    break
+                trial = z + t * step
+                val = _cell_objective(xt, idx, trial, r, n)
+                ok = pending & (val < f)
+                z[ok] = trial[ok]
+                f[ok] = val[ok]
+                moved |= ok
+                pending &= ~ok
+                if not halve:
+                    break
+                t *= 0.5
+        active &= moved
+        if not active.any():
+            break
+    return z
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0])
+def test_active_cell_newton_matches_full_sample_reference(m, r):
+    # Steps and trials on the samples of active cells only must give the
+    # full-sample kernel's centers bit for bit, from centers on samples (as
+    # k-means++ leaves them) and from the centers one step has already moved.
+    for seed in range(4):
+        x, idx, code = _random_cells(m, seed, n=12)
+        xt = np.ascontiguousarray(x.T)
+        for _ in range(2):
+            value = _cell_objective(xt, idx, code, r, code.shape[0])
+            got, f = _damped_newton(xt, idx, code, r, value)
+            want = _damped_newton_reference(xt, idx, code, r, value)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(f, _cell_objective(xt, idx, got, r, code.shape[0]))
+            assert np.all(f <= value)
+            code = got
+
+
 def _log_candidates_reference(x, idx, code):
     """The per-column loop the batched r = 0 candidate kernel replaced (R^1)."""
     n = code.shape[0]
@@ -347,6 +428,109 @@ def test_line_cells_read_from_the_sorted_samples(fixture, r):
         d, idx = _assign(x, code, order)
         np.testing.assert_array_equal(_recenter(xt, idx, d, code, r, order),
                                       _recenter(xt, idx, d, code, r))
+
+
+@pytest.mark.parametrize("fixture", ["grid", "cantor", "grid2", "uniform2"])
+def test_log_lloyd_changed_cells_match_full_rescan(fixture, monkeypatch):
+    # At r = 0 each recentering searches only the cells whose sample set
+    # changed; a full _lloyd must equal one that searches every cell, also
+    # through reseeds after the first round (which the grids produce).
+    if fixture in ("grid", "cantor"):
+        x = _line_fixture(fixture)
+    elif fixture == "grid2":
+        x = np.random.default_rng(47).integers(0, 16, size=(3000, 2)) / 8.0
+    else:
+        x = np.random.default_rng(29).uniform(size=(1500, 2))
+    runs = []
+    for rescan in (False, True):
+        if rescan:
+            monkeypatch.setattr(quantize, "_changed_cells", lambda before, idx, n: None)
+        out = []
+        for n in (6, 16, 40):
+            for seed in range(3):
+                init = x[np.random.default_rng(seed).choice(x.shape[0], size=n, replace=False)]
+                out.append(_lloyd(x, init, 0.0))
+        runs.append(out)
+    for (code, dist, hist), (want_code, want_dist, want_hist) in zip(*runs):
+        np.testing.assert_array_equal(code, want_code)
+        assert dist == want_dist and hist == want_hist
+
+
+def test_log_lloyd_fixtures_reseed_after_the_first_round(monkeypatch):
+    # the changed-cell test above must see reseeds in later rounds
+    reseeded = []
+    reseed = quantize._reseed_empty
+
+    def recording(x, code, d, idx):
+        out = reseed(x, code, d, idx)
+        reseeded.append(out[1])
+        return out
+
+    monkeypatch.setattr(quantize, "_reseed_empty", recording)
+    x = _line_fixture("grid")
+    init = x[np.random.default_rng(0).choice(x.shape[0], size=40, replace=False)]
+    _lloyd(x, init, 0.0)
+    assert any(reseeded[1:])
+
+
+@st.composite
+def _codebook_sequences(draw):
+    """Samples in R^2 or R^3 and a codebook that drifts, jumps onto a sample
+    (as a reseed does), duplicates a center, or stays put."""
+    m = draw(st.sampled_from([2, 3]))
+    coord = st.integers(-16, 16).map(lambda i: i / 8.0) | st.floats(-2.0, 2.0)
+    point = st.lists(coord, min_size=m, max_size=m)
+    x = draw(st.lists(point, min_size=1, max_size=40))
+    n = draw(st.integers(1, 6))
+    code = np.array(draw(st.lists(point | st.sampled_from(x), min_size=n, max_size=n)))
+    # samples equidistant from two centers
+    x += [(0.5 * (code[i] + code[j])).tolist()
+          for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                    max_size=4))]
+    x = np.array(x)
+    codes = [code]
+    for _ in range(draw(st.integers(1, 6))):
+        code = code.copy()
+        j = draw(st.integers(0, n - 1))
+        move = draw(st.sampled_from(["drift", "reseed", "duplicate", "stay"]))
+        if move == "drift":
+            size = draw(st.sampled_from([1e-13, 1e-6, 1e-2, 0.5]))
+            mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            noise = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+            code += size * mask[:, None] * noise
+        elif move == "reseed":
+            code[j] = x[draw(st.integers(0, x.shape[0] - 1))]
+        elif move == "duplicate":
+            code[j] = code[draw(st.integers(0, n - 1))]
+        codes.append(code)
+    return x, codes
+
+
+def _still_codebook(m):
+    """Float samples in R^m and one codebook twice: the second round keeps
+    nearly every sample, so its own distance must be the tree's."""
+    x = np.random.default_rng(m).uniform(-2.0, 2.0, size=(30, m))
+    return x, [x[:3].copy(), x[:3].copy()]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_codebook_sequences())
+@example(_still_codebook(9))
+# the midpoint of centers 0 and 1 while center 0 moves by a few ulps: the
+# bound arithmetic rounds the sample's lower bound up to its own distance
+@example((np.array([[1.166965115141623, 1.3091087066586093]]),
+          [np.array([[0.6115573595124899, 0.6571479772153519], [1.722372870770756, 1.9610694361018668],
+                     [-1.7447515009489143, -0.8987879231198996]]),
+           np.array([[0.6115573595124887, 0.6571479772153529], [1.722372870770756, 1.9610694361018668],
+                     [-1.7447515009489143, -0.8987879231198996]])]))
+def test_bounded_assignment_matches_full_query(case):
+    x, codes = case
+    assign = _BoundedAssign(x, np.ascontiguousarray(x.T))
+    for code in codes:
+        d, idx = assign(code)
+        want_d, want_idx = cKDTree(code).query(x, k=1)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(d, want_d)
 
 
 def test_lloyd_two_clusters_exact():
