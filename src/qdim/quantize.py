@@ -415,7 +415,7 @@ def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
     if r == 0.0:
         return _best_candidates(xt, idx, code, r, counts, incumbent, order, cells=changed)[0]
     if r >= 1.0:
-        return _damped_newton(xt, idx, code, r, incumbent)[0]
+        return _damped_newton(xt, idx, code, r, incumbent)
 
     # d^r is concave in d: minimisers sit on or near samples, where the
     # majoriser's weights blow up and its steps stall, so the better of its
@@ -494,7 +494,9 @@ def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float
     if cells is not None:
         searched &= cells
         xs, ids = _samples_of(xt, idx, cells)
-        if ids is not idx:  # copies: sort only those samples
+        # R^m copies: sort only those samples.  A line reads its runs off
+        # ``order``, so it needs no index list and no counts zeroed.
+        if order is None and ids is not idx:
             sel = np.flatnonzero(cells[idx])
             counts = np.where(cells, counts, 0)
     runs, starts = _cell_runs(xt, idx, counts, order, sel)
@@ -549,7 +551,7 @@ def _majorize_minimize(xt: np.ndarray, idx: np.ndarray, code: np.ndarray,
 
 
 def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
-                   value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   value: np.ndarray) -> np.ndarray:
     """Damped Newton steps for r >= 1, all cells at once.
 
     The cell objective ``sum_i |z - x_i|^r`` (per-cell values ``value`` at
@@ -566,9 +568,8 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
     Each step reads only the samples of the cells still active, and each
     trial only those of the cells it tries (see :func:`_samples_of`);
     per-cell sums keep sample order, so they equal full-sample sums bit for
-    bit.  Returns the centers and their
-    per-cell objectives: a moved cell's is ``_cell_objective`` at its new
-    center, below its ``value``, and every other cell keeps its ``value``.
+    bit.  A cell moves only to a center of lower objective, so no cell ends
+    above its ``value``.
     """
     n, m = code.shape
     z = code.copy()
@@ -620,7 +621,7 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
         if not active.any():
             break
         xt, idx = _samples_of(xt, idx, active)
-    return z, f
+    return z
 
 
 def _samples_of(xt: np.ndarray, idx: np.ndarray, cells: np.ndarray
@@ -689,7 +690,10 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUN
         if r == 0.0 and before is not None:
             changed = _changed_cells(before, idx, code.shape[0])
         code = _recenter(xt, idx, d, code, r, order, changed)
-        before = idx
+        # Free the round's arrays before the next assignment allocates its
+        # own; r = 0 keeps each sample's cell, in the smallest integer type.
+        before = idx.astype(np.min_scalar_type(code.shape[0] - 1)) if r == 0.0 else None
+        del d, idx
     return code, history[-1], history
 
 

@@ -265,11 +265,10 @@ def test_active_cell_newton_matches_full_sample_reference(m, r):
         xt = np.ascontiguousarray(x.T)
         for _ in range(2):
             value = _cell_objective(xt, idx, code, r, code.shape[0])
-            got, f = _damped_newton(xt, idx, code, r, value)
+            got = _damped_newton(xt, idx, code, r, value)
             want = _damped_newton_reference(xt, idx, code, r, value)
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(f, _cell_objective(xt, idx, got, r, code.shape[0]))
-            assert np.all(f <= value)
+            assert np.all(_cell_objective(xt, idx, got, r, code.shape[0]) <= value)
             code = got
 
 
