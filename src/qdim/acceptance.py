@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import Box
 from .ifs import WIFS, Word, build_sub_wifs, compose_word, attractor_hull, hutchinson_push, similitude_1d
@@ -279,6 +278,8 @@ def _crit_sub_dimension() -> tuple[bool, str]:
 
 def _lp_transport(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Brute-force LP value of the transport problem (oracle only)."""
+    from scipy.optimize import linprog
+
     ka, kb = mu.size, nu.size
     cost = np.abs(mu.atoms[:, None, 0] - nu.atoms[None, :, 0]).ravel()
     a_eq = []

@@ -274,6 +274,16 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _result(field: str, op, *operands) -> DiscreteMeasure:
+    """``op(*operands)``, refusing a result that is no valid measure (a
+    convolution past its size cap, atoms that overflow to infinity, weights
+    that underflow to zero) as invalid input in ``field``."""
+    try:
+        return op(*operands)
+    except ValueError as exc:
+        raise _Invalid(field, str(exc)) from exc
+
+
 def _write_measure(measure: DiscreteMeasure, out_path: str | None) -> None:
     if out_path and out_path.lower().endswith(".json"):
         _emit_json(measure_to_json_obj(measure), out_path)
@@ -287,23 +297,26 @@ def _cmd_measure(args) -> int:
     def need_b() -> DiscreteMeasure:
         if args.b is None:
             raise _Invalid("b", f"--b is required for op {args.op!r}")
-        return _load_measure("b", args.b)
+        nu = _load_measure("b", args.b)
+        if nu.dim != mu.dim:
+            raise _Invalid("b", f"measure lives in R^{nu.dim}, --a in R^{mu.dim}")
+        return nu
 
     if args.op == "convolve":
-        _write_measure(convolve(mu, need_b()), args.out)
+        _write_measure(_result("b", convolve, mu, need_b()), args.out)
     elif args.op == "translate":
         if args.x is None:
             raise _Invalid("x", "--x is required for op 'translate'")
         vec = np.array(_parse_floats("x", args.x))
         if vec.size != mu.dim:
             raise _Invalid("x", f"expected {mu.dim} coordinates, got {vec.size}")
-        _write_measure(translate(mu, vec), args.out)
+        _write_measure(_result("x", translate, mu, vec), args.out)
     elif args.op == "mix":
         if args.alpha is None:
             raise _Invalid("alpha", "--alpha is required for op 'mix'")
         if not 0.0 <= args.alpha <= 1.0:
             raise _Invalid("alpha", f"must lie in [0, 1], got {args.alpha}")
-        _write_measure(mix(mu, need_b(), args.alpha), args.out)
+        _write_measure(_result("alpha", mix, mu, need_b(), args.alpha), args.out)
     elif args.op == "dl":
         _emit(_fmt(dl(mu, need_b())) + "\n", args.out)
     elif args.op == "tv":

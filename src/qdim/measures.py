@@ -12,7 +12,13 @@ the operations needed downstream:
   computed exactly (sorted-CDF integral in 1-d, a HiGHS transport LP with a
   checked duality certificate in R^m),
 * ``tv`` -- total-variation-style distance on atoms,
-* ``box_mass`` -- mass of a half-open box, for measures or sample clouds.
+* ``box_mass`` -- mass of a half-open box, for measures or sample clouds,
+* CSV and JSON readers and writers, which move whole columns at a time and
+  write each coordinate as its shortest round-trip decimal.
+
+Only the R^m route of ``dl`` needs scipy (``scipy.optimize.linprog`` and
+``scipy.sparse``); it imports them on its first call, so importing this
+module loads no scipy.
 
 Atoms that coincide *exactly* (bit-for-bit after normalising signed zeros)
 are merged at construction time; no tolerance-based snapping is ever done,
@@ -23,10 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import DimensionError, NotNormalized
 from .geometry import Box
@@ -59,6 +64,13 @@ _HIGHS_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
 
 _NORMALIZATION_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +125,8 @@ class DiscreteMeasure:
                 group = np.concatenate([[0], np.cumsum(~same)])
                 atoms = atoms[np.concatenate([[True], ~same])]
                 weights = np.bincount(group, weights=weights)
+                if not np.all(np.isfinite(weights)):
+                    raise ValueError("merged weights of duplicate atoms overflow")
 
         atoms.flags.writeable = False
         weights.flags.writeable = False
@@ -166,7 +180,8 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     _check_same_dim(mu, nu)
     if mu.size * nu.size > 4_000_000:
         raise ValueError(f"convolution support too large ({mu.size} x {nu.size} atoms)")
-    locs = (mu.atoms[:, None, :] + nu.atoms[None, :, :]).reshape(-1, mu.dim)
+    with np.errstate(over="ignore"):  # the constructor refuses infinite atoms
+        locs = (mu.atoms[:, None, :] + nu.atoms[None, :, :]).reshape(-1, mu.dim)
     wts = (mu.weights[:, None] * nu.weights[None, :]).reshape(-1)
     return DiscreteMeasure(locs, wts)
 
@@ -180,7 +195,8 @@ def translate(mu: DiscreteMeasure, x) -> DiscreteMeasure:
     shift = np.atleast_1d(np.asarray(x, dtype=float))
     if shift.shape[0] != mu.dim:
         raise DimensionError(f"shift lives in R^{shift.shape[0]}, measure in R^{mu.dim}")
-    return DiscreteMeasure(mu.atoms - shift, mu.weights)
+    with np.errstate(over="ignore"):  # the constructor refuses infinite atoms
+        return DiscreteMeasure(mu.atoms - shift, mu.weights)
 
 
 def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, alpha: float) -> DiscreteMeasure:
@@ -260,6 +276,8 @@ def _dl_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     match the value, ``<a, u> + <b, v> = <C, P>``, and ``P`` meets its
     marginals, each within ``TRANSPORT_CERT_TOL``.
     """
+    from scipy import sparse
+
     a = mu.weights / mu.total
     b = nu.weights / nu.total
     ka, kb = a.shape[0], b.shape[0]
@@ -344,35 +362,49 @@ def box_mass(obj, box: Box) -> float:
 
 
 def measure_to_csv(mu: DiscreteMeasure) -> str:
-    """CSV text with header ``x1,...,xm,weight`` and shortest-roundtrip floats."""
+    """CSV text with header ``x1,...,xm,weight`` and shortest-roundtrip floats.
+
+    Each column is formatted in one pass: ``repr`` of a Python float is its
+    shortest round-trip decimal.
+    """
     header = ",".join(f"x{i + 1}" for i in range(mu.dim)) + ",weight"
-    lines = [header]
-    for row, w in zip(mu.atoms, mu.weights):
-        lines.append(",".join(repr(float(c)) for c in row) + f",{float(w)!r}")
-    return "\n".join(lines) + "\n"
+    cols = [list(map(repr, col)) for col in mu.atoms.T.tolist()]
+    cols.append(list(map(repr, mu.weights.tolist())))
+    return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:
-    rows = [line.strip() for line in text.strip().splitlines()]
-    if not rows or not rows[0].endswith("weight"):
+    """Measure from :func:`measure_to_csv` text, parsed as whole columns.
+
+    Raises ``ValueError`` for a missing header, no atom rows, rows of unequal
+    length, non-numeric fields and non-finite values.  Blank lines are skipped.
+    """
+    rows = text.strip().splitlines()
+    if not rows or not rows[0].strip().endswith("weight"):
         raise ValueError("measure CSV needs a header ending in 'weight'")
-    data = np.array([[float(c) for c in line.split(",")] for line in rows[1:]], dtype=float)
-    if data.ndim != 2 or data.shape[1] < 2:
+    if len(rows) == 1:
+        raise ValueError("measure CSV has no atom rows")
+    data = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] < 2:
         raise ValueError("measure CSV needs at least one coordinate column plus weight")
     return DiscreteMeasure(data[:, :-1], data[:, -1])
 
 
 def measure_to_json_obj(mu: DiscreteMeasure) -> dict:
-    return {
-        "atoms": [{"location": [float(c) for c in row], "weight": float(w)}
-                  for row, w in zip(mu.atoms, mu.weights)],
-    }
+    return {"atoms": [{"location": row, "weight": w}
+                      for row, w in zip(mu.atoms.tolist(), mu.weights.tolist())]}
 
 
 def measure_from_json_obj(obj: dict) -> DiscreteMeasure:
-    atoms = obj.get("atoms")
+    """Measure from :func:`measure_to_json_obj` output; raises ``ValueError``
+    when the object is not of that shape or holds non-finite values."""
+    atoms = obj.get("atoms") if isinstance(obj, dict) else None
     if not isinstance(atoms, list) or not atoms:
         raise ValueError("measure JSON needs a non-empty 'atoms' list")
-    locs = np.array([a["location"] for a in atoms], dtype=float)
-    wts = np.array([a["weight"] for a in atoms], dtype=float)
+    try:
+        locs = np.array(list(map(itemgetter("location"), atoms)), dtype=float)
+        wts = np.array(list(map(itemgetter("weight"), atoms)), dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"each measure JSON atom needs a numeric 'location' and 'weight': {exc!r}"
+                         ) from exc
     return DiscreteMeasure(locs, wts)

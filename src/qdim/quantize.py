@@ -33,10 +33,11 @@ A Lloyd round spends its work on what can still change.  In R^m each
 sample carries a lower bound on its distance to the centers other than its
 own (Hamerly's drift update, Elkan's center-gap lemma), and only samples
 whose bound no longer clears their own distance are queried again in a
-KD-tree.  Damped Newton steps and their trials read only the samples of
-the cells still moving, and at r = 0 a recentering searches only the cells
-whose sample set changed since the previous one (both read every sample
-while those cells hold more than half of them).  Sums (means,
+KD-tree (scipy's, imported on the first R^m assignment, so the 1-d path
+never loads it).  Damped Newton steps and their trials read only the
+samples of the cells still moving, and at r = 0 a recentering searches
+only the cells whose sample set changed since the previous one (both read
+every sample while those cells hold more than half of them).  Sums (means,
 distortions, objectives) still run in sample order, so every assignment,
 center and distortion is bit-identical to full rescans and per-sample
 searches.
@@ -53,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateFit
 from .ifs import WIFS, attractor_hull, wifs_fingerprint
@@ -218,6 +218,8 @@ def _assign(x: np.ndarray, code: np.ndarray, order: np.ndarray | None = None
         if order is None:
             order = _line_order(x)
         return _assign_line(x[:, 0], x[order, 0], order, code)
+    from scipy.spatial import cKDTree
+
     d, idx = cKDTree(code).query(x, k=1)
     return d, idx
 
@@ -261,6 +263,8 @@ class _BoundedAssign:
         self.code: np.ndarray | None = None
 
     def __call__(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(code)
         slack = _BOUND_SLACK * max(self.scale, float(np.max(np.abs(code))))
         if self.code is None:

@@ -7,10 +7,15 @@ the same arguments must be byte-identical.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdim
 from qdim.cli import main
 from qdim.ifs import WIFS, Similitude, similitude_1d, wifs_to_json_obj
 from qdim.instances import cantor, quarter_maps, uniform_halves
@@ -31,6 +36,24 @@ def wifs_files(tmp_path_factory):
         p.write_text(json.dumps(wifs_to_json_obj(w)))
         paths[name] = str(p)
     return paths
+
+
+def _dust_file(path: Path) -> str:
+    """Four corner maps of ratio 1/3, the third turned by 90 degrees."""
+    eye, rot90 = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+    maps = tuple(Similitude(1 / 3, iso, np.array(t)) for iso, t in
+                 [(eye, [0.0, 0.0]), (eye, [2 / 3, 0.0]), (rot90, [1 / 3, 2 / 3]), (eye, [2 / 3, 2 / 3])])
+    path.write_text(json.dumps(wifs_to_json_obj(WIFS(maps=maps, probs=(0.4, 0.3, 0.2, 0.1)))))
+    return str(path)
+
+
+def _fresh_python(code: str, *args: str, threads: int = 1) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this ``qdim``."""
+    src = str(Path(qdim.__file__).resolve().parents[1])
+    env = dict(os.environ, QDIM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          check=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -177,14 +200,9 @@ def test_check_sep_refuses_a_map_that_expands_boxes(tmp_path, capsys):
 
 
 def test_check_sep_writes_no_negative_zero(tmp_path, capsys):
-    # Four corner maps of ratio 1/3, the third turned by 90 degrees.  The
-    # hull's lower corner is 0, which the solve returns as -0.0 in lo = -y.
-    eye, rot90 = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
-    maps = tuple(Similitude(1 / 3, iso, np.array(t)) for iso, t in
-                 [(eye, [0.0, 0.0]), (eye, [2 / 3, 0.0]), (rot90, [1 / 3, 2 / 3]), (eye, [2 / 3, 2 / 3])])
-    path = tmp_path / "dust.json"
-    path.write_text(json.dumps(wifs_to_json_obj(WIFS(maps=maps, probs=(0.4, 0.3, 0.2, 0.1)))))
-    assert main(["check-sep", "--wifs", str(path)]) == 0
+    # The dust's hull's lower corner is 0, which the solve returns as -0.0
+    # in lo = -y.
+    assert main(["check-sep", "--wifs", _dust_file(tmp_path / "dust.json")]) == 0
     text = capsys.readouterr().out
     assert json.loads(text)["hull"]["lo"] == [0.0, 0.0]
     assert "-0.0" not in text
@@ -302,6 +320,49 @@ def test_estimate_degenerate_system_is_runtime_error(wifs_files, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+_ESTIMATE_SPYING_ON_KDTREE_IMPORT = """
+import sys, threading
+from qdim.cli import main
+
+in_main = []
+
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.spatial":
+            in_main.append(threading.current_thread() is threading.main_thread())
+
+
+sys.meta_path.insert(0, Spy())
+code = main(["estimate", "--wifs", sys.argv[1], "--r", "2", "--n-list", "4,8,16",
+             "--samples", "3000", "--seed", "5", "--restarts", "2"])
+print(in_main, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_estimate_in_two_dimensions_is_thread_count_invariant_from_a_cold_start(tmp_path):
+    # A fresh interpreter imports scipy's KD-tree on its first R^m
+    # assignment; at two threads that happens inside the ladder's worker
+    # threads, concurrently.  The CSV must not depend on it.
+    wifs = _dust_file(tmp_path / "dust.json")
+    one = _fresh_python(_ESTIMATE_SPYING_ON_KDTREE_IMPORT, wifs, threads=1)
+    two = _fresh_python(_ESTIMATE_SPYING_ON_KDTREE_IMPORT, wifs, threads=2)
+    assert one.stderr.decode().strip() == "[True]"
+    assert two.stderr.decode().strip() == "[False]"
+    assert two.stdout == one.stdout
+    assert one.stdout.decode().splitlines()[-1].startswith("estimate,2.0,")
+
+
+def test_cli_start_up_loads_no_scipy_solvers():
+    # The R^m transport LP, the KD-tree and the oracle LP import scipy on
+    # first use; a command that needs none of them never loads it.
+    code = ("import sys, qdim, qdim.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.spatial') "
+            "if m in sys.modules])")
+    assert _fresh_python(code).stdout.decode().strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -376,6 +437,46 @@ def test_measure_requires_b(measure_files, capsys):
     mu, _ = measure_files
     assert main(["measure", "--op", "dl", "--a", mu]) == 2
     assert "error: b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a,flags,error", [
+    # 2001 x 2001 atom pairs pass convolve's cap of 4e6.
+    ("wide", ["--op", "convolve", "--b", "wide"],
+     "b: convolution support too large (2001 x 2001 atoms)"),
+    ("big", ["--op", "convolve", "--b", "big"], "b: atoms and weights must be finite"),
+    ("big", ["--op", "translate", "--x=-1e308"], "x: atoms and weights must be finite"),
+    ("tiny", ["--op", "mix", "--b", "tiny", "--alpha", "1e-300"],
+     "alpha: weights must be strictly positive"),
+])
+def test_measure_results_outside_range_are_refused(tmp_path, capsys, a, flags, error):
+    # Too many atoms, atoms overflowing to infinity, weights underflowing to zero.
+    texts = {"wide": measure_to_csv(DiscreteMeasure(np.arange(2001.0), np.full(2001, 1 / 2001))),
+             "big": "x1,weight\n1e308,1.0\n", "tiny": "x1,weight\n0.0,1e-300\n"}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        Path(paths[name]).write_text(text)
+    assert main(["measure", "--a", paths[a], *[paths.get(f, f) for f in flags]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}")
+    assert "Traceback" not in err
+
+
+def test_measure_refuses_operands_of_different_dimension(measure_files, tmp_path, capsys):
+    mu, _ = measure_files
+    plane = tmp_path / "plane.csv"
+    plane.write_text(measure_to_csv(DiscreteMeasure([[0.0, 1.0]], [1.0])))
+    assert main(["measure", "--op", "dl", "--a", mu, "--b", str(plane)]) == 2
+    assert capsys.readouterr().err.startswith("error: b: measure lives in R^2, --a in R^1")
+
+
+@pytest.mark.parametrize("text", ['[1]', '{"atoms": [{"location": [1.0]}]}',
+                                  '{"atoms": [{"location": [1.0], "weight": null}]}'])
+def test_measure_refuses_malformed_json_measures(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["measure", "--op", "tv", "--a", str(path), "--b", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: a: ")
 
 
 def test_measure_json_output(measure_files, tmp_path):

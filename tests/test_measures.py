@@ -83,6 +83,11 @@ def test_duplicate_atoms_merge_and_sort():
     assert mu.weights[1] == 0.5  # 0.2 + 0.3 exactly
 
 
+def test_merged_weights_that_overflow_are_refused():
+    with pytest.raises(ValueError, match="overflow"):
+        DiscreteMeasure([[0.0], [0.0]], [1.7976931348623157e308, 1.7976931348623157e308])
+
+
 def test_negative_zero_is_canonicalized():
     mu = _measure([[-0.0], [0.0]], [0.5, 0.5])
     assert mu.size == 1
@@ -312,12 +317,37 @@ def test_box_mass_on_point_clouds():
 # ---------------------------------------------------------------------------
 
 
+_EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.1, 1 / 3, -2.5e-300]
+
+
+def _edge_measure(rng, dim: int) -> DiscreteMeasure:
+    vals = np.array(_EDGE_FLOATS)
+    atoms = np.concatenate([np.tile(vals[:, None], (1, dim)), rng.choice(vals, size=(12, dim)),
+                            rng.normal(size=(12, dim))])
+    weights = rng.choice(np.array([5e-324, 1e-5, 1e16, 0.1, 1 / 3]), size=atoms.shape[0])
+    weights[0] = 1.7976931348623157e308  # merged duplicates still sum below the overflow
+    return DiscreteMeasure(atoms, weights)
+
+
+def _csv_per_row(mu: DiscreteMeasure) -> str:
+    """Reference formatter: one row at a time, each number through ``float``."""
+    header = ",".join(f"x{i + 1}" for i in range(mu.dim)) + ",weight"
+    lines = [header]
+    for row, w in zip(mu.atoms, mu.weights):
+        lines.append(",".join(repr(float(c)) for c in row) + f",{float(w)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _same_bits(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
+    return (a.atoms.shape == b.atoms.shape and a.atoms.tobytes() == b.atoms.tobytes()
+            and a.weights.tobytes() == b.weights.tobytes())
+
+
 def test_csv_round_trip_is_exact():
     rng = np.random.default_rng(707)
-    mu = _random_prob(rng, dim=3)
-    back = measure_from_csv(measure_to_csv(mu))
-    np.testing.assert_array_equal(back.atoms, mu.atoms)
-    np.testing.assert_array_equal(back.weights, mu.weights)
+    for mu in [_random_prob(rng, dim=3)] + [_edge_measure(rng, dim) for dim in (1, 2, 3)]:
+        assert _same_bits(measure_from_csv(measure_to_csv(mu)), mu)
 
 
 def test_csv_header_names_coordinates():
@@ -327,8 +357,54 @@ def test_csv_header_names_coordinates():
 
 def test_json_round_trip_is_exact():
     rng = np.random.default_rng(808)
-    mu = _random_prob(rng, dim=2)
-    obj = json.loads(json.dumps(measure_to_json_obj(mu)))
-    back = measure_from_json_obj(obj)
-    np.testing.assert_array_equal(back.atoms, mu.atoms)
-    np.testing.assert_array_equal(back.weights, mu.weights)
+    for mu in [_random_prob(rng, dim=2)] + [_edge_measure(rng, dim) for dim in (1, 2, 3)]:
+        obj = json.loads(json.dumps(measure_to_json_obj(mu)))
+        assert _same_bits(measure_from_json_obj(obj), mu)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_csv_writer_matches_a_per_row_formatter(dim):
+    mu = _edge_measure(np.random.default_rng(dim), dim)
+    text = measure_to_csv(mu)
+    assert text == _csv_per_row(mu)
+    assert "5e-324" in text and "1.7976931348623157e+308" in text and "1e-05" in text
+
+
+def test_json_writer_matches_a_per_row_formatter():
+    mu = _edge_measure(np.random.default_rng(4), 2)
+    ref = {"atoms": [{"location": [float(c) for c in row], "weight": float(w)}
+                     for row, w in zip(mu.atoms, mu.weights)]}
+    assert json.dumps(measure_to_json_obj(mu)) == json.dumps(ref)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("", "header"),
+    ("x1,mass\n0.5,1.0\n", "header"),
+    ("x1,weight\n", "no atom rows"),
+    ("x1,weight\n0.5,0.5\n0.25,0.25,1\n", "columns"),
+    ("x1,weight\n0.5,abc\n", "abc"),
+    ("x1,weight\n0.5,\n", "convert"),
+    ("weight\n0.5\n", "coordinate column"),
+    ("x1,weight\nnan,1.0\n", "finite"),
+    ("x1,weight\n0.5,inf\n", "finite"),
+])
+def test_csv_reader_refuses_malformed_text(text, match):
+    with pytest.raises(ValueError, match=match):
+        measure_from_csv(text)
+
+
+def test_csv_reader_takes_crlf_and_padded_fields():
+    mu = measure_from_csv("x1,x2,weight\r\n 0.5 , 1.5,0.25\r\n0.0,1.0, 0.75\r\n")
+    assert mu.atoms.tolist() == [[0.0, 1.0], [0.5, 1.5]]
+    assert mu.weights.tolist() == [0.75, 0.25]
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, {"atoms": []}, {"atoms": [1.0]}, {"atoms": [{"location": [0.5]}]},
+    {"atoms": [{"location": None, "weight": 1.0}]},
+    {"atoms": [{"location": [0.5], "weight": 1.0}, {"location": [0.5, 1.0], "weight": 1.0}]},
+    {"atoms": [{"location": [float("nan")], "weight": 1.0}]},
+])
+def test_json_reader_refuses_malformed_objects(obj):
+    with pytest.raises(ValueError):
+        measure_from_json_obj(obj)
