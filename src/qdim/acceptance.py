@@ -157,9 +157,9 @@ def _crit_example_separation() -> tuple[bool, str]:
 
 def _crit_empirical_r2() -> tuple[bool, str]:
     """Cantor and uniform measures recover their r = 2 dimensions within 0.08."""
-    fit_c = fit_dimension(cantor(), 2.0, _LADDER, _SAMPLES, seed=SUITE_SEED + 5, restarts=5)
+    fit_c = fit_dimension(cantor(), 2.0, _LADDER, _SAMPLES, seed=SUITE_SEED + 5)
     err_c = abs(fit_c.estimate - math.log(2) / math.log(3))
-    fit_u = fit_dimension(uniform_halves(), 2.0, _LADDER, _SAMPLES, seed=SUITE_SEED + 5, restarts=5)
+    fit_u = fit_dimension(uniform_halves(), 2.0, _LADDER, _SAMPLES, seed=SUITE_SEED + 5)
     err_u = abs(fit_u.estimate - 1.0)
     ok = err_c <= 0.08 and err_u <= 0.08
     return ok, (f"Cantor D2_hat = {fit_c.estimate:.4f} (err {err_c:.4f}), "

@@ -261,8 +261,7 @@ def _cmd_estimate(args) -> int:
         raise _Invalid("n-list", f"need >= 2 strictly increasing positive sizes, got {ns}")
     if max(ns) > args.samples / 100:
         raise _Invalid("n-list", f"max n = {max(ns)} needs at least {100 * max(ns)} samples")
-    fit = fit_dimension(w, args.r, ns, args.samples, seed=args.seed,
-                        restarts=args.restarts, burn_in=args.burn_in)
+    fit = fit_dimension(w, args.r, ns, args.samples, seed=args.seed, burn_in=args.burn_in)
     lines = ["n,r,distortion,log_n,neg_log_V,seed"]
     for n, value in fit.pairs:
         neg_log = -np.log(value) if args.r > 0 else -value
@@ -411,7 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True, help="comma-separated sizes, e.g. 16,32,64")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="RNG seed (explicit, no default)")
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=int, default=5,
+                   help="accepted and validated for older scripts; no effect: each rung is "
+                        "one Lloyd run from the system's antichain codebook")
     p.add_argument("--burn-in", type=int, default=100)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_estimate)

@@ -377,7 +377,8 @@ def measure_from_csv(text: str) -> DiscreteMeasure:
     """Measure from :func:`measure_to_csv` text, parsed as whole columns.
 
     Raises ``ValueError`` for a missing header, no atom rows, rows of unequal
-    length, non-numeric fields and non-finite values.  Blank lines are skipped.
+    length or of another length than the header, non-numeric fields and
+    non-finite values.  Blank lines are skipped.
     """
     rows = text.strip().splitlines()
     if not rows or not rows[0].strip().endswith("weight"):
@@ -387,6 +388,9 @@ def measure_from_csv(text: str) -> DiscreteMeasure:
     data = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
     if data.shape[1] < 2:
         raise ValueError("measure CSV needs at least one coordinate column plus weight")
+    width = rows[0].count(",") + 1
+    if data.shape[1] != width:
+        raise ValueError(f"measure CSV header has {width} columns, its rows {data.shape[1]}")
     return DiscreteMeasure(data[:, :-1], data[:, -1])
 
 

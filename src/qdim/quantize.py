@@ -42,14 +42,23 @@ distortions, objectives) still run in sample order, so every assignment,
 center and distortion is bit-identical to full rescans and per-sample
 searches.
 
+A fit that knows its system (:func:`fit_dimension`) seeds each rung with
+the system's own codebook {f_w(a*) : w in Gamma}: Gamma is an antichain of
+n words grown by splitting the word of largest p_w s_w^r, and a* the
+measure's mean (the codebooks of Graf & Luschgy's upper bounds, LNM 1730,
+ch. 14; on the Cantor measure at n = 2^k the optimal one).  One Lloyd run
+from it replaces k-means++ and restarts.  Fits on bare sample sets, and
+codebooks asked for without a start, keep k-means++ and restarts.
+
 Everything is reproducible: the chaos game is driven by a single integer
-seed, and each codebook run derives its generator from (seed, n, restart).
+seed, and each k-means++ run derives its generator from (seed, n, restart).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -152,6 +161,11 @@ class SampleSet:
     @property
     def dim(self) -> int:
         return int(self.points.shape[1])
+
+    @functools.cached_property
+    def line_order(self) -> np.ndarray | None:
+        """The points' :func:`_line_order`, sorted once for every codebook."""
+        return _line_order(self.points)
 
 
 def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleSet:
@@ -363,10 +377,6 @@ def _loss(d: np.ndarray, r: float) -> np.ndarray:
     return d ** r if r > 0.0 else np.log(np.maximum(d, EPS_LOG))
 
 
-def _distortion(d: np.ndarray, r: float) -> float:
-    return float(np.mean(_loss(d, r)))
-
-
 def _cell_objective(xt: np.ndarray, idx: np.ndarray, centers: np.ndarray, r: float,
                     n: int) -> np.ndarray:
     """Per-cell order-r objective of assigning each sample to centers[idx]."""
@@ -382,12 +392,13 @@ def _cell_objective(xt: np.ndarray, idx: np.ndarray, centers: np.ndarray, r: flo
 # as ``xt``, an (m, k) array.
 
 
-def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
+def _recenter(xt: np.ndarray, idx: np.ndarray, loss: np.ndarray, code: np.ndarray,
               r: float, order: np.ndarray | None = None, changed: np.ndarray | None = None
               ) -> np.ndarray:
     """Optimal (or safeguarded) new centers for the current assignment.
 
-    ``d`` holds each sample's distance to its current center, ``code[idx]``.
+    ``loss`` holds each sample's :func:`_loss` at its current center,
+    ``code[idx]``.
     ``order``, if given, is a stable sort of the samples under which every
     cell is one contiguous run, as the 1-d cells of :func:`_assign` are
     under :func:`_line_order`.  ``changed``, if given at r = 0, masks the
@@ -415,7 +426,7 @@ def _recenter(xt: np.ndarray, idx: np.ndarray, d: np.ndarray, code: np.ndarray,
         new[ne, 0] = 0.5 * (xt[0, lo_mid] + xt[0, hi_mid])
         return new
 
-    incumbent = np.bincount(idx, weights=_loss(d, r), minlength=n)
+    incumbent = np.bincount(idx, weights=loss, minlength=n)
     if r == 0.0:
         return _best_candidates(xt, idx, code, r, counts, incumbent, order, cells=changed)[0]
     if r >= 1.0:
@@ -685,7 +696,9 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUN
         code, reseeded = _reseed_empty(x, code, d, idx)
         if reseeded:
             d, idx = assign(code)
-        dist = _distortion(d, r)
+        loss = _loss(d, r)
+        del d
+        dist = float(np.mean(loss))
         history.append(dist)
         if prev - dist < REL_IMPROVEMENT_TOL * max(1.0, abs(prev)) and math.isfinite(prev):
             break
@@ -693,11 +706,11 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUN
         changed = None
         if r == 0.0 and before is not None:
             changed = _changed_cells(before, idx, code.shape[0])
-        code = _recenter(xt, idx, d, code, r, order, changed)
+        code = _recenter(xt, idx, loss, code, r, order, changed)
         # Free the round's arrays before the next assignment allocates its
         # own; r = 0 keeps each sample's cell, in the smallest integer type.
         before = idx.astype(np.min_scalar_type(code.shape[0] - 1)) if r == 0.0 else None
-        del d, idx
+        del loss, idx
     return code, history[-1], history
 
 
@@ -822,15 +835,59 @@ def _seed_line(x: np.ndarray, centers: np.ndarray, r: float, rng: np.random.Gene
     return dmin
 
 
-def optimize_codebook(samples: SampleSet, n: int, r: float, restarts: int = 5,
-                      seed: int = 0) -> Codebook:
-    """Best codebook over several seeded Lloyd runs.
+def _antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
+    """The n points f_w(a*), w over an antichain of words grown by priority.
 
-    Each restart draws its own k-means++-style initialisation (distance^r
-    weighted) from a generator derived from ``(seed, restart)``, runs
-    Lloyd to convergence, and the lowest-distortion run wins.  When ``n``
-    is at least the sample count the distinct sample points themselves are
-    returned (distortion 0, or -inf for r = 0).
+    Starting from the empty word, the word of largest p_w s_w^r (p_w at
+    r = 0; ties go to the smaller word) is replaced by its children, as a
+    heap pops it, until a full split would pass n; then the top word gives
+    way to only its n - |Gamma| + 1 highest-priority children.  a* is the
+    measure's mean, the fixed point of a -> sum_i p_i f_i(a), for every r.
+    Each point is a* pushed through the word's maps, rightmost first, as
+    :func:`~qdim.ifs.compose_word` composes them, one batch per map and
+    position.  Returns the points in word order.
+
+    Raises
+    ------
+    DegenerateFit
+        for n > 1 on a one-map system, whose words never split.
+    """
+    k, m = wifs.n_maps, wifs.dim
+    if k == 1 and n > 1:
+        raise DegenerateFit(f"a one-map system has no antichain of {n} words")
+    q = [float(p) * f.scale ** r for p, f in zip(wifs.probs, wifs.maps)]
+    children = sorted(range(k), key=lambda i: (-q[i], i))
+    heap: list[tuple[float, tuple[int, ...]]] = [(-1.0, ())]
+    while len(heap) < n:
+        neg, word = heapq.heappop(heap)
+        for i in children[:min(k, n - len(heap))]:
+            heapq.heappush(heap, (neg * q[i], word + (i,)))
+    words = sorted(word for _, word in heap)
+
+    drift = sum(p * f.scale * f.isometry for p, f in zip(wifs.probs, wifs.maps))
+    mean = np.linalg.solve(np.eye(m) - drift,
+                           sum(p * f.translation for p, f in zip(wifs.probs, wifs.maps)))
+    depth = max(map(len, words))
+    symbols = np.array([w + (-1,) * (depth - len(w)) for w in words])
+    code = np.tile(mean, (n, 1))
+    for j in range(depth - 1, -1, -1):
+        for i, f in enumerate(wifs.maps):
+            at = symbols[:, j] == i
+            code[at] = f.apply(code[at])
+    return code
+
+
+def optimize_codebook(samples: SampleSet, n: int, r: float, restarts: int = 5,
+                      seed: int = 0, start: np.ndarray | None = None) -> Codebook:
+    """Best codebook over several seeded Lloyd runs, or one run from ``start``.
+
+    Without ``start``, each restart draws its own k-means++-style
+    initialisation (distance^r weighted) from a generator derived from
+    ``(seed, restart)``, runs Lloyd to convergence, and the
+    lowest-distortion run wins.  An (n, m) ``start`` codebook is run once
+    instead (``restarts`` and ``seed`` unused, ``restarts_used`` 1).  When
+    ``n`` is at least the sample count the distinct sample points
+    themselves are returned (distortion 0, or -inf for r = 0).
     """
     if n < 1:
         raise ValueError(f"codebook size must be >= 1, got {n}")
@@ -839,17 +896,24 @@ def optimize_codebook(samples: SampleSet, n: int, r: float, restarts: int = 5,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     x = samples.points
+    if start is not None and np.shape(start) != (n, samples.dim):
+        raise ValueError(f"start codebook must have shape {(n, samples.dim)}, "
+                         f"got {np.shape(start)}")
     if n >= x.shape[0]:
         distinct = np.unique(x, axis=0)
         return Codebook(points=distinct, r=r,
                         distortion=(0.0 if r > 0.0 else -math.inf), restarts_used=0)
 
+    line = samples.line_order
+    if start is None:
+        starts = (_seed_kmeanspp(x, n, r, np.random.default_rng([seed, rep]), line)
+                  for rep in range(restarts))
+    else:
+        starts, restarts = [np.array(start, dtype=float)], 1
     best_code: np.ndarray | None = None
     best_dist = math.inf
-    line = _line_order(x)
-    for rep in range(restarts):
-        rng = np.random.default_rng([seed, rep])
-        code, dist, _ = _lloyd(x, _seed_kmeanspp(x, n, r, rng, line), r, order=line)
+    for init in starts:
+        code, dist, _ = _lloyd(x, init, r, order=line)
         if dist < best_dist:
             best_dist = dist
             best_code = code
@@ -868,7 +932,7 @@ def estimate_vnr(samples: SampleSet, codebook, r: float) -> float:
     code = codebook.points if isinstance(codebook, Codebook) else np.asarray(codebook, dtype=float)
     if code.ndim == 1:
         code = code[:, None]
-    d, _ = _assign(samples.points, code)
+    d, _ = _assign(samples.points, code, samples.line_order)
     if r > 0.0:
         return float(np.mean(d ** r))
     return float(np.exp(np.mean(np.log(np.maximum(d, EPS_LOG)))))
@@ -904,8 +968,8 @@ def fit_dimension_from_samples(samples: SampleSet, r: float, n_list, seed: int,
                                restarts: int = 5) -> DimensionFit:
     """Fit the order-r dimension on an existing sample set.
 
-    Runs :func:`optimize_codebook` for every n (generator derived from
-    ``(seed, n)``), then regresses ``-log V_hat`` (or ``-log e_hat``)
+    Runs :func:`optimize_codebook` for every n (k-means++ generators derived
+    from ``(seed, n)``), then regresses ``-log V_hat`` (or ``-log e_hat``)
     on ``log n``.
 
     Raises
@@ -917,6 +981,28 @@ def fit_dimension_from_samples(samples: SampleSet, r: float, n_list, seed: int,
         when ``max(n_list) > samples.count / 100`` - with fewer than ~100
         samples per code point the error estimate is pure noise.
     """
+    return _fit_ladder(samples, r, n_list, lambda n: optimize_codebook(
+        samples, n, r, restarts=restarts, seed=ladder_seed(seed, n)))
+
+
+def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
+                  burn_in: int = 100) -> DimensionFit:
+    """Chaos-game sample, then fit as :func:`fit_dimension_from_samples` does,
+    but with each rung one Lloyd run from :func:`_antichain_codebook`.
+
+    One sample set (of size ``samples_per_run``) is shared by every ladder
+    size, and no rung draws random numbers.  Raises as
+    :func:`fit_dimension_from_samples`, and ``DegenerateFit`` for a
+    one-map system.
+    """
+    samples = chaos_game(wifs, samples_per_run, seed, burn_in=burn_in)
+    return _fit_ladder(samples, r, n_list, lambda n: optimize_codebook(
+        samples, n, r, start=_antichain_codebook(wifs, n, r)))
+
+
+def _fit_ladder(samples: SampleSet, r: float, n_list, book) -> DimensionFit:
+    """Validate the ladder, run ``book(n)`` on every rung in parallel (the
+    samples sorted once, before), and regress the log errors on log n."""
     ns = [int(n) for n in n_list]
     if len(ns) < 2:
         raise DegenerateFit(f"need at least two codebook sizes, got {ns}")
@@ -930,11 +1016,8 @@ def fit_dimension_from_samples(samples: SampleSet, r: float, n_list, seed: int,
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"order r must be finite and >= 0, got {r}")
 
-    def run(n: int) -> tuple[int, float]:
-        book = optimize_codebook(samples, n, r, restarts=restarts, seed=ladder_seed(seed, n))
-        return n, book.distortion
-
-    pairs = tuple(parallel_map(run, ns))
+    samples.line_order  # sorted here once, not in every rung's thread
+    pairs = tuple(parallel_map(lambda n: (n, book(n).distortion), ns))
 
     xs = np.log([float(n) for n, _ in pairs])
     if r > 0.0:
@@ -960,14 +1043,3 @@ def fit_dimension_from_samples(samples: SampleSet, r: float, n_list, seed: int,
     else:
         ci = math.inf
     return DimensionFit(r=r, pairs=pairs, slope=slope, estimate=estimate, ci_halfwidth=ci)
-
-
-def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
-                  restarts: int = 5, burn_in: int = 100) -> DimensionFit:
-    """Chaos-game sample, then :func:`fit_dimension_from_samples`.
-
-    One sample set (of size ``samples_per_run``) is shared by every ladder
-    size; only the codebook optimisation re-randomises per n.
-    """
-    samples = chaos_game(wifs, samples_per_run, seed, burn_in=burn_in)
-    return fit_dimension_from_samples(samples, r, n_list, seed, restarts=restarts)

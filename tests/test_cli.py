@@ -303,6 +303,26 @@ def test_estimate_csv_layout(wifs_files, tmp_path):
     assert int(final[5]) == 7
 
 
+@pytest.mark.parametrize("r", ["0", "2"])
+def test_estimate_ignores_restarts_and_thread_count(wifs_files, tmp_path, monkeypatch, r):
+    # Each rung is one Lloyd run from the system's antichain codebook: no
+    # draw, so neither --restarts nor QDIM_THREADS can move a byte.
+    dust = _dust_file(tmp_path / "dust.json")
+    for name, wifs, ladder in (("cantor", wifs_files["cantor"], "8,16,32"), ("dust", dust, "4,16,20")):
+        outs = set()
+        for restarts in ("1", "3"):
+            for threads in ("1", "2"):
+                monkeypatch.setenv("QDIM_THREADS", threads)
+                out = tmp_path / f"{name}.{restarts}.{threads}.csv"
+                assert main(["estimate", "--wifs", wifs, "--r", r, "--n-list", ladder,
+                             "--samples", "4000", "--seed", "11", "--restarts", restarts,
+                             "--out", str(out)]) == 0
+                outs.add(out.read_bytes())
+        assert len(outs) == 1
+    assert main(["estimate", "--wifs", dust, "--r", r, "--n-list", ladder, "--samples", "3000",
+                 "--seed", "11", "--restarts", "0"]) == 2
+
+
 def test_estimate_rejects_bad_ladder(wifs_files, capsys):
     base = ["estimate", "--wifs", wifs_files["cantor"], "--r", "2",
             "--samples", "2000", "--seed", "1"]
@@ -431,6 +451,14 @@ def test_measure_mix_validates_alpha(measure_files, capsys):
     mu, nu = measure_files
     assert main(["measure", "--op", "mix", "--a", mu, "--b", nu, "--alpha", "1.5"]) == 2
     assert "error: alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["x1,x2,weight\n0.5,1.0\n", "x1,weight\n0.5,1.0,2.0\n"])
+def test_measure_csv_of_other_width_than_its_header_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "mu.csv"
+    path.write_text(text)
+    assert main(["measure", "--op", "tv", "--a", str(path), "--b", str(path)]) == 2
+    assert "error: a: " in capsys.readouterr().err
 
 
 def test_measure_requires_b(measure_files, capsys):

@@ -385,6 +385,9 @@ def test_json_writer_matches_a_per_row_formatter():
     ("x1,weight\n0.5,abc\n", "abc"),
     ("x1,weight\n0.5,\n", "convert"),
     ("weight\n0.5\n", "coordinate column"),
+    # by their rows alone, a 1-d and a 2-d atom
+    ("x1,x2,weight\n0.5,1.0\n", "header has 3 columns, its rows 2"),
+    ("x1,weight\n0.5,1.0,2.0\n", "header has 2 columns, its rows 3"),
     ("x1,weight\nnan,1.0\n", "finite"),
     ("x1,weight\n0.5,inf\n", "finite"),
 ])
