@@ -39,7 +39,6 @@ from .ifs import (
     compose_word,
     hutchinson_push,
     similitude_1d,
-    wifs_fingerprint,
     wifs_from_json_obj,
     wifs_to_json_obj,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "solve_kappa",
     "translate",
     "tv",
-    "wifs_fingerprint",
     "wifs_from_json_obj",
     "wifs_to_json_obj",
 ]

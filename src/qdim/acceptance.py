@@ -193,8 +193,7 @@ def _convolved_with_two_point(samples: SampleSet, shift: float, seed: int) -> Sa
     """Samples of mu * (delta_0 + delta_shift)/2: add an independent fair coin."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=samples.count).astype(float) * shift
-    return SampleSet(points=samples.points + bits[:, None], seed=seed,
-                     burn_in=samples.burn_in, wifs_fingerprint="derived:convolution")
+    return SampleSet(points=samples.points + bits[:, None])
 
 
 def _crit_convolution() -> tuple[bool, str]:
@@ -214,8 +213,7 @@ def _mixture_samples() -> SampleSet:
     b = chaos_game(four_fifths_shifted(), _SAMPLES, seed=SUITE_SEED + 91)
     coin = np.random.default_rng(SUITE_SEED + 92).integers(0, 2, size=_SAMPLES).astype(bool)
     pts = np.where(coin[:, None], a.points, b.points)
-    return SampleSet(points=pts, seed=SUITE_SEED + 92, burn_in=a.burn_in,
-                     wifs_fingerprint="derived:mixture")
+    return SampleSet(points=pts)
 
 
 def _crit_mixture_max_rule() -> tuple[bool, str]:

@@ -21,8 +21,6 @@ Everything is immutable; randomness never enters this module.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -51,7 +49,6 @@ __all__ = [
     "hutchinson_push",
     "wifs_to_json_obj",
     "wifs_from_json_obj",
-    "wifs_fingerprint",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -498,20 +495,3 @@ def wifs_from_json_obj(obj: dict) -> WIFS:
         return WIFS(tuple(maps), np.asarray(probs_raw, dtype=float))
     except (ValueError, TypeError) as exc:
         raise QdimError(f"field 'probs' is invalid: {exc}") from None
-
-
-def wifs_fingerprint(wifs: WIFS) -> str:
-    """Stable hex digest of the exact float content of the system."""
-    payload = {
-        "ambient_dim": wifs.dim,
-        "maps": [
-            {
-                "scale": float(f.scale).hex(),
-                "translation": [float(c).hex() for c in f.translation],
-                "isometry": [[float(c).hex() for c in row] for row in f.isometry],
-            }
-            for f in wifs.maps
-        ],
-        "probs": [float(p).hex() for p in wifs.probs],
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

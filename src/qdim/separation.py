@@ -205,11 +205,9 @@ def search_separated_sub_ifs(
             gap[i, j] = gap[j, i] = images[i].gap_to(images[j])
         separated = gap > 2.0 * GUARD
 
-        candidates: list[tuple[int, ...]] = []
         if count <= 16:
-            for size in range(count - 1, 0, -1):
-                for combo in itertools.combinations(range(count), size):
-                    candidates.append(combo)
+            candidates = itertools.chain.from_iterable(
+                itertools.combinations(range(count), size) for size in range(count - 1, 0, -1))
         else:
             weights = [(w + suffix).weight(wifs) for w in words]
             order = sorted(range(count), key=lambda k: (-weights[k], words[k].symbols))
@@ -219,8 +217,7 @@ def search_separated_sub_ifs(
                     picked.append(k)
             if len(picked) == count:
                 picked.pop()  # strictness: drop the lightest word added last
-            if picked:
-                candidates.append(tuple(sorted(picked)))
+            candidates = [tuple(sorted(picked))] if picked else []
 
         for combo in candidates:
             if len(combo) == 1 and fallback is not None:

@@ -24,7 +24,6 @@ from qdim.ifs import (
     compose_word,
     hutchinson_push,
     similitude_1d,
-    wifs_fingerprint,
     wifs_from_json_obj,
     wifs_to_json_obj,
 )
@@ -344,7 +343,7 @@ def test_push_iterates_toward_invariant_measure():
 
 
 # ---------------------------------------------------------------------------
-# serialization and fingerprints
+# serialization
 # ---------------------------------------------------------------------------
 
 
@@ -379,10 +378,3 @@ def test_json_errors_name_the_field(mutate, field):
     mutate(obj)
     with pytest.raises(QdimError, match=field):
         wifs_from_json_obj(obj)
-
-
-def test_fingerprint_is_stable_and_discriminates():
-    a = wifs_fingerprint(cantor())
-    assert a == wifs_fingerprint(cantor())
-    assert a != wifs_fingerprint(quarter_maps(0.2))
-    assert a != wifs_fingerprint(WIFS(maps=cantor().maps, probs=(0.4, 0.6)))

@@ -61,7 +61,6 @@ def test_chaos_game_is_deterministic():
     a = chaos_game(cantor(), 500, seed=3)
     b = chaos_game(cantor(), 500, seed=3)
     np.testing.assert_array_equal(a.points, b.points)
-    assert a.wifs_fingerprint == b.wifs_fingerprint
 
 
 def test_chaos_game_seed_and_burn_in_matter():
@@ -97,6 +96,55 @@ def test_chaos_game_2d_path():
     assert np.all((s.points >= hull.lo - 1e-9) & (s.points <= hull.hi + 1e-9))
 
 
+def _sequential_orbit(wifs, count, seed, burn_in):
+    """Reference: the random iteration one step at a time, same map draws."""
+    picks = np.random.default_rng(seed).choice(wifs.n_maps, size=burn_in + count, p=wifs.probs)
+    mats = [f.scale * f.isometry for f in wifs.maps]
+    offs = [f.translation for f in wifs.maps]
+    x = attractor_hull(wifs).center
+    out = np.empty((burn_in + count, wifs.dim))
+    for k, i in enumerate(picks.tolist()):
+        x = mats[i] @ x + offs[i]
+        out[k] = x
+    return out[burn_in:]
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+_SCAN_SYSTEMS = {
+    "cantor": cantor(),
+    "reflection_0.99": WIFS(maps=(similitude_1d(0.99, 0.0, -1), similitude_1d(0.99, 0.01)),
+                            probs=(0.5, 0.5)),
+    "rot90_0.99": WIFS(maps=(Similitude(0.99, _rotation(np.pi / 2), np.zeros(2)),
+                             Similitude(0.99, np.eye(2), np.array([0.01, 0.01]))),
+                       probs=(0.3, 0.7)),
+    "rot_generic_0.7": WIFS(maps=(Similitude(0.7, _rotation(1.0), np.array([0.2, -0.1])),
+                                  Similitude(0.5, _rotation(-2.3), np.array([1.0, 0.5])),
+                                  Similitude(0.3, np.eye(2), np.array([-0.4, 0.9]))),
+                            probs=(0.5, 0.3, 0.2)),
+    "orthogonal_3d": WIFS(maps=(Similitude(0.6, np.linalg.qr(np.random.default_rng(5).normal(
+                                    size=(3, 3)))[0], np.array([0.3, -0.2, 0.1])),
+                                Similitude(0.4, np.eye(3), np.array([-1.0, 0.5, 2.0]))),
+                          probs=(0.6, 0.4)),
+}
+
+
+@pytest.mark.parametrize("count,burn_in", [(1, 100), (1, 0), (300, 0), (100_000, 100)])
+@pytest.mark.parametrize("name", sorted(_SCAN_SYSTEMS))
+def test_chaos_game_scan_matches_sequential_orbit(name, count, burn_in):
+    w = _SCAN_SYSTEMS[name]
+    pts = chaos_game(w, count, seed=23, burn_in=burn_in).points
+    ref = _sequential_orbit(w, count, 23, burn_in)
+    assert pts.shape == ref.shape == (count, w.dim)
+    # the scan regroups each sample's sum of products: rounding only
+    assert np.max(np.abs(pts - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    if w.dim <= 2:
+        hull = attractor_hull(w)
+        assert np.all((pts >= hull.lo - 1e-9) & (pts <= hull.hi + 1e-9))
+
+
 def test_chaos_game_validates():
     with pytest.raises(ValueError):
         chaos_game(cantor(), 0, seed=1)
@@ -105,7 +153,7 @@ def test_chaos_game_validates():
 
 
 def test_sampleset_flat_points_become_column():
-    s = SampleSet(points=np.array([0.0, 1.0]), seed=-1, burn_in=0, wifs_fingerprint="x")
+    s = SampleSet(points=np.array([0.0, 1.0]))
     assert s.points.shape == (2, 1)
     with pytest.raises(ValueError):
         s.points[0, 0] = 3.0
@@ -537,7 +585,7 @@ def test_bounded_assignment_matches_full_query(case):
 def test_lloyd_two_clusters_exact():
     # two tight clusters, two centers: optimum is the cluster means (r = 2)
     pts = np.concatenate([np.full(50, 0.0), np.full(50, 1.0)])[:, None]
-    s = SampleSet(points=pts, seed=-1, burn_in=0, wifs_fingerprint="clusters")
+    s = SampleSet(points=pts)
     book = optimize_codebook(s, 2, 2.0, restarts=3, seed=1)
     np.testing.assert_allclose(np.sort(book.points.ravel()), [0.0, 1.0], atol=1e-12)
     assert book.distortion == pytest.approx(0.0, abs=1e-24)
@@ -567,8 +615,7 @@ def test_more_restarts_never_hurt(cantor_samples):
 
 
 def test_codebook_covers_all_points_when_n_large(cantor_samples):
-    small = SampleSet(points=np.array([[0.0], [0.5], [0.5], [1.0]]), seed=-1,
-                      burn_in=0, wifs_fingerprint="tiny")
+    small = SampleSet(points=np.array([[0.0], [0.5], [0.5], [1.0]]))
     book = optimize_codebook(small, 10, 2.0, restarts=1, seed=0)
     assert book.size == 3  # distinct points only
     assert book.distortion == 0.0
@@ -612,7 +659,7 @@ def test_estimate_vnr_matches_codebook_distortion(cantor_samples):
 def test_estimate_vnr_log_floor():
     # samples {0, 1} with the single code point {0}: distances (0, 1) floor
     # to (1e-12, 1), so the geometric mean is exactly 1e-6
-    s = SampleSet(points=np.array([[0.0], [1.0]]), seed=-1, burn_in=0, wifs_fingerprint="pair")
+    s = SampleSet(points=np.array([[0.0], [1.0]]))
     val = estimate_vnr(s, np.array([[0.0]]), 0.0)
     assert val == pytest.approx(1e-6, rel=1e-9)
     assert estimate_vnr(s, np.array([[0.0]]), 2.0) == 0.5
@@ -657,7 +704,7 @@ def test_fit_validates_ladder(cantor_samples):
 
 
 def test_fit_degenerates_on_constant_samples():
-    s = SampleSet(points=np.zeros((500, 1)), seed=-1, burn_in=0, wifs_fingerprint="const")
+    s = SampleSet(points=np.zeros((500, 1)))
     with pytest.raises(DegenerateFit):
         fit_dimension_from_samples(s, 2.0, [1, 2], seed=1)
 
@@ -676,7 +723,7 @@ def test_fit_sorts_each_sample_set_once(monkeypatch):
     fit_dimension(cantor(), 1.0, [8, 16, 32], 5000, seed=3)
     assert len(sorts) == 2
     assert chaos_game(quarter_maps(), 10, seed=1).line_order is not None
-    assert SampleSet(np.zeros((3, 2)), -1, 0, "flat").line_order is None
+    assert SampleSet(np.zeros((3, 2))).line_order is None
 
 
 # ---------------------------------------------------------------------------
