@@ -200,8 +200,8 @@ def _crit_convolution() -> tuple[bool, str]:
     """Convolving with (delta_0 + delta_5)/2 leaves the r = 0 estimate unchanged."""
     base = chaos_game(cantor(), _SAMPLES, seed=SUITE_SEED + 8)
     conv = _convolved_with_two_point(base, 5.0, seed=SUITE_SEED + 81)
-    fit_base = fit_dimension_from_samples(base, 0.0, _LADDER, seed=SUITE_SEED + 82, restarts=5)
-    fit_conv = fit_dimension_from_samples(conv, 0.0, _LADDER, seed=SUITE_SEED + 83, restarts=5)
+    fit_base = fit_dimension_from_samples(base, 0.0, _LADDER)
+    fit_conv = fit_dimension_from_samples(conv, 0.0, _LADDER)
     gap = abs(fit_conv.estimate - fit_base.estimate)
     return gap <= 0.1, (f"D0_hat base = {fit_base.estimate:.4f}, convolved = "
                         f"{fit_conv.estimate:.4f}, |gap| = {gap:.4f} (tol 0.1)")
@@ -230,8 +230,7 @@ def _crit_mixture_max_rule() -> tuple[bool, str]:
     d_b = math.log(4) / math.log(5)
     target = 1.0 / (0.5 / d_a + 0.5 / d_b)
     max_rule = max(d_a, d_b)
-    fit = fit_dimension_from_samples(_mixture_samples(), 0.0, _LADDER,
-                                     seed=SUITE_SEED + 93, restarts=5)
+    fit = fit_dimension_from_samples(_mixture_samples(), 0.0, _LADDER)
     err = abs(fit.estimate - target)
     return err <= 0.1, (f"D0_hat mixture = {fit.estimate:.4f}, harmonic target {target:.4f}, "
                         f"|err| = {err:.4f} (tol 0.1); max-rule value {max_rule:.4f} is "

@@ -43,7 +43,7 @@ from .measures import (
     translate,
     tv,
 )
-from .quantize import chaos_game, fit_dimension, ladder_seed, optimize_codebook
+from .quantize import antichain_codebook, chaos_game, fit_dimension, optimize_codebook
 from .separation import check_osc_sufficient, check_ssc, search_separated_sub_ifs
 
 __all__ = ["main"]
@@ -237,14 +237,14 @@ def _cmd_quantize(args) -> int:
     _require_positive("burn-in", args.burn_in, strict=False)
     _require_positive("r", args.r, strict=False)
     samples = chaos_game(w, args.samples, seed=args.seed, burn_in=args.burn_in)
-    book = optimize_codebook(samples, args.n, args.r, restarts=args.restarts, seed=args.seed)
+    book = optimize_codebook(samples, args.n, args.r,
+                             start=antichain_codebook(w, args.n, args.r))
     _emit_json({
         "n": args.n,
         "r": args.r,
         "seed": args.seed,
         "samples": args.samples,
         "distortion": _finite_or_none(book.distortion),
-        "restarts_used": book.restarts_used,
         "points": [[float(v) for v in row] for row in book.points],
     }, args.out)
     return 0
@@ -266,7 +266,7 @@ def _cmd_estimate(args) -> int:
     for n, value in fit.pairs:
         neg_log = -np.log(value) if args.r > 0 else -value
         lines.append(f"{n},{_fmt(args.r)},{_fmt(value)},{_fmt(np.log(n))},"
-                     f"{_fmt(neg_log)},{ladder_seed(args.seed, n)}")
+                     f"{_fmt(neg_log)},{args.seed}")
     lines.append(f"estimate,{_fmt(args.r)},{_fmt(fit.estimate)},{_fmt(fit.slope)},"
                  f"{_fmt(fit.ci_halfwidth)},{args.seed}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -399,7 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True, help="error order (0 for geometric mean)")
     p.add_argument("--samples", type=int, required=True, help="chaos-game sample count")
     p.add_argument("--seed", type=int, required=True, help="RNG seed (explicit, no default)")
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=int, default=5,
+                   help="accepted and validated for older scripts; no effect: each rung is "
+                        "one Lloyd run from the system's antichain codebook")
     p.add_argument("--burn-in", type=int, default=100)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_quantize)

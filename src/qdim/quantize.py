@@ -22,12 +22,11 @@ samples.  Empty cells are re-seeded at the sample farthest from the
 current codebook.  Log distances are floored at 1e-12 to keep the r = 0
 objective finite.
 
-On a line the samples are stably sorted once per codebook, and every
-Voronoi cell is an interval, hence a run of that one order.  k-means++
-seeding lowers the nearest-center distances only between a new center's
-midpoints to its neighbours, and draws by descending blocks of weight
-sums; assignment cuts the sorted samples, gathered once per Lloyd run, at
-the code midpoints; medians and sample candidates read each cell's run.
+On a line the samples are stably sorted once per sample set, and every
+Voronoi cell is an interval, hence a run of that one order: the split
+tree's cells are runs of it, assignment cuts the sorted samples, gathered
+once per Lloyd run, at the code midpoints, and medians and sample
+candidates read each cell's run.
 
 A Lloyd round spends its work on what can still change.  In R^m each
 sample carries a lower bound on its distance to the centers other than its
@@ -42,23 +41,26 @@ distortions, objectives) still run in sample order, so every assignment,
 center and distortion is bit-identical to full rescans and per-sample
 searches.
 
-A fit that knows its system (:func:`fit_dimension`) seeds each rung with
-the system's own codebook {f_w(a*) : w in Gamma}: Gamma is an antichain of
-n words grown by splitting the word of largest p_w s_w^r, and a* the
-measure's mean (the codebooks of Graf & Luschgy's upper bounds, LNM 1730,
-ch. 14; on the Cantor measure at n = 2^k the optimal one).  One Lloyd run
-from it replaces k-means++ and restarts.  Fits on bare sample sets, and
-codebooks asked for without a start, keep k-means++ and restarts.
+Every Lloyd run starts from one deterministic codebook.  A fit that knows
+its system (:func:`fit_dimension`) seeds each rung with the system's own
+codebook {f_w(a*) : w in Gamma}: Gamma is an antichain of n words grown by
+splitting the word of largest p_w s_w^r, and a* the measure's mean (the
+codebooks of Graf & Luschgy's upper bounds, LNM 1730, ch. 14; on the
+Cantor measure at n = 2^k the optimal one).  Fits on bare sample sets,
+and codebooks asked for without a start, seed from the samples' split
+tree: the same priority split, made on cells of samples instead of words
+(Linde, Buzo & Gray's splitting design), with every rung a prefix of one
+tree.
 
 Everything is reproducible: the chaos game is driven by a single integer
-seed, and each k-means++ run derives its generator from (seed, n, restart).
+seed, and nothing after it draws random numbers.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,7 +79,7 @@ __all__ = [
     "estimate_vnr",
     "fit_dimension",
     "fit_dimension_from_samples",
-    "ladder_seed",
+    "antichain_codebook",
 ]
 
 #: Floor applied to distances inside logarithms (r = 0 objective).
@@ -109,10 +111,6 @@ _NEWTON_RIDGE = 1e-6
 #: Iterative recentering stops once no center moves by more than this
 #: times the sample scale max(1, max |x|).
 _STEP_TOL = 1e-10
-
-#: Samples per block of the k-means++ draw on a line: one draw sums every
-#: block, then runs through one.
-_DRAW_BLOCK = 256
 
 #: A sample keeps its R^m center without a KD-tree query only when its
 #: distance undercuts its lower bound to the other centers by this times the
@@ -458,9 +456,10 @@ def _weights(d: np.ndarray, r: float) -> np.ndarray:
     """``d^(r-2)`` per sample; a sample on its center gets weight 0.
 
     Such a sample has no tangent to majorise with (and an infinite Newton
-    curvature for r < 2): it would pin the center to itself, and k-means++
-    seeds every center on a sample.  Leaving it out keeps the step defined;
-    the caller's keep-better test covers it.
+    curvature for r < 2): it would pin the center to itself, and centers do
+    land on samples (empty-cell re-seeds and the sample candidates of r < 1
+    put them there).  Leaving it out keeps the step defined; the caller's
+    keep-better test covers it.
     """
     w = np.maximum(d, _D_FLOOR)
     w **= r - 2.0
@@ -637,7 +636,7 @@ def _samples_of(xt: np.ndarray, idx: np.ndarray, cells: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Lloyd iteration and restarts
+# Lloyd iteration
 # ---------------------------------------------------------------------------
 
 
@@ -720,7 +719,6 @@ class Codebook:
     points: np.ndarray
     r: float
     distortion: float
-    restarts_used: int
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float).copy()
@@ -732,95 +730,66 @@ class Codebook:
         return int(self.points.shape[0])
 
 
-def _seed_kmeanspp(x: np.ndarray, n: int, r: float, rng: np.random.Generator,
-                   order: np.ndarray | None = None) -> np.ndarray:
-    """k-means++-style seeding with distance^r weighting (uniform for r = 0).
+# ---------------------------------------------------------------------------
+# start codebooks
+# ---------------------------------------------------------------------------
 
-    Each pick is the first sample, in sample order, at which the running sum
-    of the weights ``w = dmin^r`` (``dmin > 0`` at r = 0) exceeds
-    ``u * sum(w)`` for ``u = rng.random()``, as ``rng.choice(k, p=w/sum(w))``
-    draws it; with every weight 0 the pick is ``rng.integers(k)``.  A line
-    takes :func:`_seed_line` with the samples' :func:`_line_order`
-    (``order``, computed here when not given); R^m rescans every sample
-    at every draw.
+
+def _split_tree(samples: SampleSet, r: float, sizes) -> dict[int, np.ndarray]:
+    """The leaf centers of one divisive split tree at each size in ``sizes``.
+
+    The tree starts from one leaf, all samples, centred at their mean, and
+    repeatedly splits the leaf whose split lowers the summed order-r loss
+    (floored at r = 0, see :func:`_loss`) the most, ties going to the split
+    found first (Linde, Buzo & Gray's splitting design, IEEE Trans. Comm.
+    28, 1980).  A split is a two-center r = 2 :func:`_lloyd` run on the
+    leaf's samples, started at its center +- one standard deviation along
+    their principal axis; its two centers and cells are the new leaves.
+    After j splits the j + 1 leaf centers are the codebook of size j + 1.
+    A leaf whose split leaves a cell empty (all its samples are equal)
+    never splits; once none can, the leaves repeat, and Lloyd re-seeds the
+    cells they leave empty.  On a line every leaf's samples are a run of
+    the samples' :func:`_line_order`, so they are sorted.
     """
-    k = x.shape[0]
-    centers = np.empty((n, x.shape[1]))
-    centers[0] = x[rng.integers(k)]
-    if x.shape[1] == 1:
-        _seed_line(x[:, 0], centers[:, 0], r, rng, _line_order(x) if order is None else order)
-        return centers
-    xt = np.ascontiguousarray(x.T)
-    dmin = _norm(xt - centers[0][:, None])
-    for j in range(1, n):
-        w = _seed_weights(dmin, r)
-        total = float(w.sum())
-        if total > 0.0:
-            # rng.choice(k, p=w / total) draws exactly this, after a
-            # validation pass over p that costs as much as the draw.
-            cdf = np.cumsum(w / total)
-            cdf /= cdf[-1]
-            pick = int(np.searchsorted(cdf, rng.random(), side="right"))
-        else:
-            pick = int(rng.integers(k))
-        centers[j] = x[pick]
-        np.minimum(dmin, _norm(xt - centers[j][:, None]), out=dmin)
-    return centers
+    x, line = samples.points, samples.line_order
+    center = x.mean(axis=0)
+    leaves = [(np.arange(samples.count) if line is None else line, center,
+               float(np.sum(_loss(_norm((x - center).T), r))))]
+    heap: list = []
+    pushed = itertools.count()
+
+    def push(i: int) -> None:
+        cell, center, loss = leaves[i]
+        xc = x[cell]
+        dev = xc - center
+        var, axes = np.linalg.eigh(dev.T @ dev / cell.size)
+        step = math.sqrt(max(var[-1], 0.0)) * axes[:, -1]
+        order = None if line is None else np.arange(cell.size)
+        code, _, _ = _lloyd(xc, np.stack([center - step, center + step]), 2.0, order=order)
+        _, idx = _assign(xc, code, order)
+        if idx.min() < idx.max():
+            kid_loss = _cell_objective(xc.T, idx, code, r, 2)
+            kids = [(cell[idx == h], code[h], float(kid_loss[h])) for h in (0, 1)]
+            heapq.heappush(heap, (float(kid_loss.sum()) - loss, next(pushed), i, kids))
+
+    top = max(sizes)
+    if top > 1:
+        push(0)
+    books = {}
+    for size in range(1, top + 1):
+        if size > 1 and heap:
+            _, _, i, kids = heapq.heappop(heap)
+            leaves[i] = kids[0]
+            leaves.append(kids[1])
+            if size < top:
+                push(i)
+                push(len(leaves) - 1)
+        if size in sizes:
+            books[size] = np.resize([c for _, c, _ in leaves], (size, x.shape[1]))
+    return books
 
 
-def _seed_weights(dmin: np.ndarray, r: float) -> np.ndarray:
-    return dmin ** r if r > 0.0 else (dmin > 0.0).astype(float)
-
-
-def _seed_line(x: np.ndarray, centers: np.ndarray, r: float, rng: np.random.Generator,
-               order: np.ndarray) -> np.ndarray:
-    """Fill ``centers[1:]`` after ``centers[0]`` by the draw of
-    :func:`_seed_kmeanspp` on the samples ``x`` of a line; returns ``dmin``,
-    each sorted sample's distance to its nearest center.
-
-    A new center ``c`` can only be nearest to samples between the midpoints
-    to its neighbours among the centers placed so far: a sample beyond a
-    midpoint is no closer to ``c`` than to that neighbour, in floats as
-    well, since rounding is monotone.  So ``dmin``, kept in sorted order, is
-    lowered with ``np.minimum`` on that range only (widened by one sample
-    each side) and stays bit-identical to a full scan; so do the weights.
-    The draw descends fixed blocks of the sample order: the block sums are
-    recomputed exactly at every draw, never updated by differences, whose
-    rounding drifts as the weights shrink and would move picks; then one
-    block's running sum finds the sample.
-    """
-    k = x.size
-    xs = x[order]
-    dmin = np.abs(xs - centers[0])
-    w = np.empty(k)
-    w[order] = _seed_weights(dmin, r)
-    blocks = np.arange(0, k, _DRAW_BLOCK)
-    placed = [float(centers[0])]
-    for j in range(1, centers.size):
-        cum = np.add.reduceat(w, blocks).cumsum()
-        if cum[-1] > 0.0:
-            target = rng.random() * cum[-1]
-            b = int(cum.searchsorted(target, side="right"))
-            block = w[b * _DRAW_BLOCK:(b + 1) * _DRAW_BLOCK]
-            run = block.cumsum()
-            i = int(run.searchsorted(target - cum[b - 1] if b else target, side="right"))
-            if i == run.size:  # rounding put the target past the block's sum
-                i = int(block.nonzero()[0][-1])
-            pick = b * _DRAW_BLOCK + i
-        else:
-            pick = int(rng.integers(k))
-        c = centers[j] = x[pick]
-        at = bisect.bisect_left(placed, c)
-        lo = max(xs.searchsorted(0.5 * (placed[at - 1] + c)) - 1, 0) if at else 0
-        hi = xs.searchsorted(0.5 * (c + placed[at]), side="right") + 1 if at < len(placed) else k
-        placed.insert(at, float(c))
-        near = dmin[lo:hi]
-        np.minimum(near, np.abs(xs[lo:hi] - c), out=near)
-        w[order[lo:hi]] = _seed_weights(near, r)
-    return dmin
-
-
-def _antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
+def antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
     """The n points f_w(a*), w over an antichain of words grown by priority.
 
     Starting from the empty word, the word of largest p_w s_w^r (p_w at
@@ -862,49 +831,31 @@ def _antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
     return code
 
 
-def optimize_codebook(samples: SampleSet, n: int, r: float, restarts: int = 5,
-                      seed: int = 0, start: np.ndarray | None = None) -> Codebook:
-    """Best codebook over several seeded Lloyd runs, or one run from ``start``.
+def optimize_codebook(samples: SampleSet, n: int, r: float,
+                      start: np.ndarray | None = None) -> Codebook:
+    """One Lloyd run from ``start``, an (n, m) codebook, or from the n leaf
+    centers of the samples' split tree (see :func:`_split_tree`) without it.
 
-    Without ``start``, each restart draws its own k-means++-style
-    initialisation (distance^r weighted) from a generator derived from
-    ``(seed, restart)``, runs Lloyd to convergence, and the
-    lowest-distortion run wins.  An (n, m) ``start`` codebook is run once
-    instead (``restarts`` and ``seed`` unused, ``restarts_used`` 1).  When
-    ``n`` is at least the sample count the distinct sample points
-    themselves are returned (distortion 0, or -inf for r = 0).
+    No random numbers are drawn.  When ``n`` is at least the sample count
+    the distinct sample points themselves are returned (distortion 0, or
+    -inf for r = 0).
     """
     if n < 1:
         raise ValueError(f"codebook size must be >= 1, got {n}")
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"order r must be finite and >= 0, got {r}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     x = samples.points
     if start is not None and np.shape(start) != (n, samples.dim):
         raise ValueError(f"start codebook must have shape {(n, samples.dim)}, "
                          f"got {np.shape(start)}")
     if n >= x.shape[0]:
         distinct = np.unique(x, axis=0)
-        return Codebook(points=distinct, r=r,
-                        distortion=(0.0 if r > 0.0 else -math.inf), restarts_used=0)
+        return Codebook(points=distinct, r=r, distortion=(0.0 if r > 0.0 else -math.inf))
 
-    line = samples.line_order
     if start is None:
-        starts = (_seed_kmeanspp(x, n, r, np.random.default_rng([seed, rep]), line)
-                  for rep in range(restarts))
-    else:
-        starts, restarts = [np.array(start, dtype=float)], 1
-    best_code: np.ndarray | None = None
-    best_dist = math.inf
-    for init in starts:
-        code, dist, _ = _lloyd(x, init, r, order=line)
-        if dist < best_dist:
-            best_dist = dist
-            best_code = code
-    assert best_code is not None
-    order = np.lexsort(best_code.T[::-1])
-    return Codebook(points=best_code[order], r=r, distortion=best_dist, restarts_used=restarts)
+        start = _split_tree(samples, r, [n])[n]
+    code, dist, _ = _lloyd(x, np.array(start, dtype=float), r, order=samples.line_order)
+    return Codebook(points=code[np.lexsort(code.T[::-1])], r=r, distortion=dist)
 
 
 def estimate_vnr(samples: SampleSet, codebook, r: float) -> float:
@@ -943,18 +894,13 @@ class DimensionFit:
     ci_halfwidth: float
 
 
-def ladder_seed(seed: int, n: int) -> int:
-    """Seed for the size-n ladder rung, derived stably from (seed, n)."""
-    return int(np.random.SeedSequence([seed, n]).generate_state(1)[0])
-
-
-def fit_dimension_from_samples(samples: SampleSet, r: float, n_list, seed: int,
-                               restarts: int = 5) -> DimensionFit:
+def fit_dimension_from_samples(samples: SampleSet, r: float, n_list) -> DimensionFit:
     """Fit the order-r dimension on an existing sample set.
 
-    Runs :func:`optimize_codebook` for every n (k-means++ generators derived
-    from ``(seed, n)``), then regresses ``-log V_hat`` (or ``-log e_hat``)
-    on ``log n``.
+    Builds the samples' split tree (:func:`_split_tree`) once, up to
+    ``max(n_list)`` leaves, runs one Lloyd run from its size-n leaves for
+    every n, then regresses ``-log V_hat`` (or ``-log e_hat``) on ``log n``.
+    No random numbers are drawn.
 
     Raises
     ------
@@ -965,14 +911,13 @@ def fit_dimension_from_samples(samples: SampleSet, r: float, n_list, seed: int,
         when ``max(n_list) > samples.count / 100`` - with fewer than ~100
         samples per code point the error estimate is pure noise.
     """
-    return _fit_ladder(samples, r, n_list, lambda n: optimize_codebook(
-        samples, n, r, restarts=restarts, seed=ladder_seed(seed, n)))
+    return _fit_ladder(samples, r, n_list, lambda ns: _split_tree(samples, r, ns).__getitem__)
 
 
 def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
                   burn_in: int = 100) -> DimensionFit:
     """Chaos-game sample, then fit as :func:`fit_dimension_from_samples` does,
-    but with each rung one Lloyd run from :func:`_antichain_codebook`.
+    but with each rung one Lloyd run from :func:`antichain_codebook`.
 
     One sample set (of size ``samples_per_run``) is shared by every ladder
     size, and no rung draws random numbers.  Raises as
@@ -980,13 +925,14 @@ def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
     one-map system.
     """
     samples = chaos_game(wifs, samples_per_run, seed, burn_in=burn_in)
-    return _fit_ladder(samples, r, n_list, lambda n: optimize_codebook(
-        samples, n, r, start=_antichain_codebook(wifs, n, r)))
+    return _fit_ladder(samples, r, n_list,
+                       lambda ns: functools.partial(antichain_codebook, wifs, r=r))
 
 
-def _fit_ladder(samples: SampleSet, r: float, n_list, book) -> DimensionFit:
-    """Validate the ladder, run ``book(n)`` on every rung in parallel (the
-    samples sorted once, before), and regress the log errors on log n."""
+def _fit_ladder(samples: SampleSet, r: float, n_list, starts) -> DimensionFit:
+    """Validate the ladder, run one Lloyd run per rung n in parallel from
+    ``starts(ns)(n)`` (the samples sorted once, before), and regress the log
+    errors on log n."""
     ns = [int(n) for n in n_list]
     if len(ns) < 2:
         raise DegenerateFit(f"need at least two codebook sizes, got {ns}")
@@ -1001,7 +947,9 @@ def _fit_ladder(samples: SampleSet, r: float, n_list, book) -> DimensionFit:
         raise ValueError(f"order r must be finite and >= 0, got {r}")
 
     samples.line_order  # sorted here once, not in every rung's thread
-    pairs = tuple(parallel_map(lambda n: (n, book(n).distortion), ns))
+    start = starts(ns)
+    pairs = tuple(parallel_map(
+        lambda n: (n, optimize_codebook(samples, n, r, start=start(n)).distortion), ns))
 
     xs = np.log([float(n) for n, _ in pairs])
     if r > 0.0:

@@ -20,7 +20,6 @@ from qdim.cli import main
 from qdim.ifs import WIFS, Similitude, similitude_1d, wifs_to_json_obj
 from qdim.instances import cantor, quarter_maps, uniform_halves
 from qdim.measures import DiscreteMeasure, measure_to_csv
-from qdim.quantize import ladder_seed
 
 SEPARATED_WORDS = "11,21,31"  # level-2 family glued by suffix 1
 
@@ -295,7 +294,7 @@ def test_estimate_csv_layout(wifs_files, tmp_path):
     assert len(lines) == 4
     row4 = lines[1].split(",")
     assert int(row4[0]) == 4
-    assert int(row4[5]) == ladder_seed(7, 4)
+    assert int(row4[5]) == 7
     assert float(row4[4]) == pytest.approx(-math.log(float(row4[2])), rel=1e-12)
     final = lines[3].split(",")
     assert final[0] == "estimate" and float(final[1]) == 2.0
@@ -323,6 +322,22 @@ def test_estimate_ignores_restarts_and_thread_count(wifs_files, tmp_path, monkey
                  "--seed", "11", "--restarts", "0"]) == 2
 
 
+@pytest.mark.parametrize("r", ["0", "2"])
+def test_quantize_codebook_is_the_estimate_rung(wifs_files, tmp_path, r):
+    # Both seed from the system's antichain codebook and run Lloyd once on
+    # the same chaos-game samples, so the distortions agree bit for bit.
+    dust = _dust_file(tmp_path / "dust.json")
+    for wifs, n in ((wifs_files["cantor"], "16"), (dust, "20")):
+        common = ["--wifs", wifs, "--r", r, "--samples", "4000", "--seed", "11"]
+        q, e = tmp_path / "q.json", tmp_path / "e.csv"
+        assert main(["quantize", "--n", n, "--restarts", "2", "--out", str(q)] + common) == 0
+        assert main(["estimate", "--n-list", f"4,{n},32", "--out", str(e)] + common) == 0
+        obj = json.loads(q.read_text())
+        assert "restarts_used" not in obj and len(obj["points"]) == int(n)
+        rung = e.read_text().splitlines()[2].split(",")
+        assert rung[0] == n and float(rung[2]) == obj["distortion"]
+
+
 def test_estimate_rejects_bad_ladder(wifs_files, capsys):
     base = ["estimate", "--wifs", wifs_files["cantor"], "--r", "2",
             "--samples", "2000", "--seed", "1"]
@@ -338,6 +353,15 @@ def test_estimate_degenerate_system_is_runtime_error(wifs_files, capsys):
     assert main(["estimate", "--wifs", wifs_files["single"], "--r", "2",
                  "--n-list", "2,4", "--samples", "500", "--seed", "3"]) == 1
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_quantize_one_map_system_is_runtime_error(wifs_files, capsys):
+    # a one-map system has no antichain of two or more words to seed from
+    argv = ["quantize", "--wifs", wifs_files["single"], "--r", "2", "--samples", "500",
+            "--seed", "3"]
+    assert main(argv + ["--n", "2"]) == 1
+    assert "runtime error" in capsys.readouterr().err
+    assert main(argv + ["--n", "1"]) == 0
 
 
 _ESTIMATE_SPYING_ON_KDTREE_IMPORT = """

@@ -28,7 +28,6 @@ from qdim.quantize import (
     EPS_LOG,
     Codebook,
     SampleSet,
-    _antichain_codebook,
     _assign,
     _BoundedAssign,
     _cell_objective,
@@ -36,13 +35,12 @@ from qdim.quantize import (
     _lloyd,
     _loss,
     _recenter,
-    _seed_kmeanspp,
-    _seed_line,
+    _split_tree,
+    antichain_codebook,
     chaos_game,
     estimate_vnr,
     fit_dimension,
     fit_dimension_from_samples,
-    ladder_seed,
     optimize_codebook,
 )
 
@@ -356,75 +354,11 @@ def test_log_recentering_is_bit_identical_to_reference_1d(cantor_samples):
         np.testing.assert_array_equal(new, _log_candidates_reference(x, idx, code))
 
 
-def _kmeanspp_reference(x, n, r, rng):
-    """k-means++ seeding that draws each pick with ``rng.choice``."""
-    k = x.shape[0]
-    centers = np.empty((n, x.shape[1]))
-    centers[0] = x[rng.integers(k)]
-    dmin = np.linalg.norm(x - centers[0], axis=1)
-    for j in range(1, n):
-        w = dmin ** r if r > 0.0 else (dmin > 0.0).astype(float)
-        total = float(w.sum())
-        pick = rng.choice(k, p=w / total) if total > 0.0 else int(rng.integers(k))
-        centers[j] = x[pick]
-        np.minimum(dmin, np.linalg.norm(x - centers[j], axis=1), out=dmin)
-    return centers
-
-
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 3.0])
-def test_kmeanspp_draws_match_generator_choice(m, r):
-    x = np.random.default_rng(41).uniform(size=(3000, m))
-    got = _seed_kmeanspp(x, 48, r, np.random.default_rng([5, 1]))
-    want = _kmeanspp_reference(x, 48, r, np.random.default_rng([5, 1]))
-    np.testing.assert_array_equal(got, want)
-
-
-def test_kmeanspp_float_hostile_r3_matches_reference():
-    # At r = 3 the weights shrink by ~10 decades over 256 draws.  Block sums
-    # kept up to date by adding differences drift by ~1e-7 relative here and
-    # move picks; sums recomputed at every draw must keep all of them.
-    x = chaos_game(cantor(), 30_000, seed=3).points
-    for rep in range(3):
-        got = _seed_kmeanspp(x, 256, 3.0, np.random.default_rng([7, rep]))
-        want = _kmeanspp_reference(x, 256, 3.0, np.random.default_rng([7, rep]))
-        np.testing.assert_array_equal(got, want)
-
-
-def test_kmeanspp_r0_falls_back_once_every_point_is_a_center():
-    # Five distinct values: at r = 0 the first five picks take each of them,
-    # then every weight is 0 and the picks come from rng.integers.
-    x = np.random.default_rng(43).integers(0, 5, size=(400, 1)).astype(float)
-    got = _seed_kmeanspp(x, 12, 0.0, np.random.default_rng([5, 2]))
-    want = _kmeanspp_reference(x, 12, 0.0, np.random.default_rng([5, 2]))
-    np.testing.assert_array_equal(got, want)
-    assert np.unique(got[:5]).size == 5
-
-
 def _line_fixture(name):
     if name == "cantor":
         return chaos_game(cantor(), 5000, seed=17).points
     # eighths: duplicate samples, and samples exactly on center midpoints
     return np.random.default_rng(47).integers(0, 64, size=(3000, 1)) / 8.0
-
-
-@pytest.mark.parametrize("fixture", ["cantor", "grid"])
-@pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 3.0])
-def test_line_seeding_dmin_matches_full_scan(fixture, r):
-    # dmin, updated between the new center's midpoints only, must equal a
-    # full scan bit for bit after every draw
-    x = _line_fixture(fixture)
-    order = np.argsort(x[:, 0], kind="stable")
-    xs = x[order, 0]
-    full = _seed_kmeanspp(x, 40, r, np.random.default_rng([9, 0]))
-    np.testing.assert_array_equal(full, _kmeanspp_reference(x, 40, r, np.random.default_rng([9, 0])))
-    for j in range(1, 41):
-        rng = np.random.default_rng([9, 0])
-        centers = np.empty(j)
-        centers[0] = x[rng.integers(x.shape[0]), 0]
-        dmin = _seed_line(x[:, 0], centers, r, rng, order)
-        np.testing.assert_array_equal(centers, full[:j, 0])
-        np.testing.assert_array_equal(dmin, np.min(np.abs(xs[:, None] - centers), axis=1))
 
 
 def _assign_by_midpoint_search(x, code):
@@ -586,7 +520,7 @@ def test_lloyd_two_clusters_exact():
     # two tight clusters, two centers: optimum is the cluster means (r = 2)
     pts = np.concatenate([np.full(50, 0.0), np.full(50, 1.0)])[:, None]
     s = SampleSet(points=pts)
-    book = optimize_codebook(s, 2, 2.0, restarts=3, seed=1)
+    book = optimize_codebook(s, 2, 2.0)
     np.testing.assert_allclose(np.sort(book.points.ravel()), [0.0, 1.0], atol=1e-12)
     assert book.distortion == pytest.approx(0.0, abs=1e-24)
 
@@ -594,33 +528,26 @@ def test_lloyd_two_clusters_exact():
 def test_uniform_quantizer_matches_theory():
     # n-point optimal r = 2 quantizer of U[0,1] has distortion 1/(12 n^2)
     s = chaos_game(uniform_halves(), 40_000, seed=31)
-    book = optimize_codebook(s, 8, 2.0, restarts=3, seed=7)
+    book = optimize_codebook(s, 8, 2.0)
     assert book.distortion == pytest.approx(1.0 / (12 * 64), rel=0.05)
     mids = np.sort(book.points.ravel())
     np.testing.assert_allclose(mids, (2 * np.arange(8) + 1) / 16.0, atol=0.01)
 
 
 def test_codebook_is_deterministic_and_sorted(cantor_samples):
-    a = optimize_codebook(cantor_samples, 5, 1.0, restarts=2, seed=11)
-    b = optimize_codebook(cantor_samples, 5, 1.0, restarts=2, seed=11)
+    a = optimize_codebook(cantor_samples, 5, 1.0)
+    b = optimize_codebook(cantor_samples, 5, 1.0)
     np.testing.assert_array_equal(a.points, b.points)
     assert a.distortion == b.distortion
     assert np.all(np.diff(a.points[:, 0]) >= 0.0)
 
 
-def test_more_restarts_never_hurt(cantor_samples):
-    one = optimize_codebook(cantor_samples, 7, 2.0, restarts=1, seed=5)
-    five = optimize_codebook(cantor_samples, 7, 2.0, restarts=5, seed=5)
-    assert five.distortion <= one.distortion + 1e-15
-
-
 def test_codebook_covers_all_points_when_n_large(cantor_samples):
     small = SampleSet(points=np.array([[0.0], [0.5], [0.5], [1.0]]))
-    book = optimize_codebook(small, 10, 2.0, restarts=1, seed=0)
+    book = optimize_codebook(small, 10, 2.0)
     assert book.size == 3  # distinct points only
     assert book.distortion == 0.0
-    assert book.restarts_used == 0
-    log_book = optimize_codebook(small, 10, 0.0, restarts=1, seed=0)
+    log_book = optimize_codebook(small, 10, 0.0)
     assert log_book.distortion == -math.inf
 
 
@@ -629,13 +556,11 @@ def test_optimize_codebook_validates(cantor_samples):
         optimize_codebook(cantor_samples, 0, 2.0)
     with pytest.raises(ValueError):
         optimize_codebook(cantor_samples, 4, -1.0)
-    with pytest.raises(ValueError):
-        optimize_codebook(cantor_samples, 4, 2.0, restarts=0)
     for r in (math.nan, math.inf):
         with pytest.raises(ValueError):
             optimize_codebook(cantor_samples, 4, r)
         with pytest.raises(ValueError):
-            fit_dimension_from_samples(cantor_samples, r, [4, 8], seed=1)
+            fit_dimension_from_samples(cantor_samples, r, [4, 8])
 
 
 def test_assignment_handles_duplicate_centers():
@@ -652,7 +577,7 @@ def test_assignment_handles_duplicate_centers():
 
 
 def test_estimate_vnr_matches_codebook_distortion(cantor_samples):
-    book = optimize_codebook(cantor_samples, 6, 2.0, restarts=2, seed=13)
+    book = optimize_codebook(cantor_samples, 6, 2.0)
     assert estimate_vnr(cantor_samples, book, 2.0) == book.distortion
 
 
@@ -680,7 +605,7 @@ def test_fit_recovers_uniform_dimension():
 
 def test_fit_r0_pairs_hold_log_errors():
     samples = chaos_game(uniform_halves(), 20_000, seed=43)
-    fit = fit_dimension_from_samples(samples, 0.0, [8, 16, 32], seed=47, restarts=2)
+    fit = fit_dimension_from_samples(samples, 0.0, [8, 16, 32])
     assert fit.r == 0.0
     assert all(v < 0.0 for _, v in fit.pairs)  # log of sub-unit errors
     assert fit.estimate == pytest.approx(1.0, abs=0.15)
@@ -688,25 +613,30 @@ def test_fit_r0_pairs_hold_log_errors():
 
 def test_fit_is_deterministic():
     samples = chaos_game(cantor(), 10_000, seed=51)
-    a = fit_dimension_from_samples(samples, 2.0, [8, 16, 32], seed=53, restarts=2)
-    b = fit_dimension_from_samples(samples, 2.0, [8, 16, 32], seed=53, restarts=2)
+    a = fit_dimension_from_samples(samples, 2.0, [8, 16, 32])
+    b = fit_dimension_from_samples(samples, 2.0, [8, 16, 32])
     assert a.estimate == b.estimate and a.pairs == b.pairs
 
 
 def test_fit_validates_ladder(cantor_samples):
     with pytest.raises(DegenerateFit):
-        fit_dimension_from_samples(cantor_samples, 2.0, [8], seed=1)
+        fit_dimension_from_samples(cantor_samples, 2.0, [8])
     with pytest.raises(ValueError):
-        fit_dimension_from_samples(cantor_samples, 2.0, [16, 8], seed=1)
+        fit_dimension_from_samples(cantor_samples, 2.0, [16, 8])
     with pytest.raises(ValueError):
         # 5000 samples cannot support a 500-point codebook estimate
-        fit_dimension_from_samples(cantor_samples, 2.0, [8, 500], seed=1)
+        fit_dimension_from_samples(cantor_samples, 2.0, [8, 500])
 
 
 def test_fit_degenerates_on_constant_samples():
-    s = SampleSet(points=np.zeros((500, 1)))
-    with pytest.raises(DegenerateFit):
-        fit_dimension_from_samples(s, 2.0, [1, 2], seed=1)
+    # No cell of equal samples splits: the tree's one leaf repeats, and
+    # every rung's error is 0 (r = 2) or the log floor (r = 0).
+    for m in (1, 2):
+        s = SampleSet(points=np.zeros((500, m)))
+        with pytest.raises(DegenerateFit):
+            fit_dimension_from_samples(s, 2.0, [1, 2])
+        with pytest.raises(DegenerateFit):
+            fit_dimension_from_samples(s, 0.0, [2, 4])
 
 
 def test_fit_sorts_each_sample_set_once(monkeypatch):
@@ -714,8 +644,8 @@ def test_fit_sorts_each_sample_set_once(monkeypatch):
     real = quantize._line_order
     monkeypatch.setattr(quantize, "_line_order", lambda x: sorts.append(1) or real(x))
     samples = chaos_game(cantor(), 10_000, seed=51)
-    fit_dimension_from_samples(samples, 2.0, [8, 16, 32, 64, 96], seed=53, restarts=2)
-    fit_dimension_from_samples(samples, 0.0, [8, 16, 32], seed=53, restarts=2)
+    fit_dimension_from_samples(samples, 2.0, [8, 16, 32, 64, 96])
+    fit_dimension_from_samples(samples, 0.0, [8, 16, 32])
     assert estimate_vnr(samples, np.array([[0.25], [0.75]]), 2.0) > 0.0
     assert len(sorts) == 1
     np.testing.assert_array_equal(samples.line_order,
@@ -763,7 +693,7 @@ def test_cantor_antichain_codebook_is_the_cylinder_midpoints(r):
         for j in range(1, k + 1):  # level-j left endpoints, digits 0 and 2
             left = np.concatenate([left, left + 2.0 * 3.0 ** -j])
         mids = np.sort(left) + 0.5 * 3.0 ** -k
-        code = _antichain_codebook(cantor(), 2 ** k, r)
+        code = antichain_codebook(cantor(), 2 ** k, r)
         assert code.shape == (2 ** k, 1)
         np.testing.assert_allclose(code[:, 0], mids, rtol=0, atol=1e-15)
 
@@ -778,7 +708,7 @@ def test_antichain_codebook_has_exactly_n_points(w, sizes, r):
     # 3 and 4 maps: each full split adds 2 or 3 words, so most sizes need a
     # partial split of the last word; on the dust 32 and 128 both do.
     for n in sizes:
-        code = _antichain_codebook(w, n, r)
+        code = antichain_codebook(w, n, r)
         assert code.shape == (n, w.dim)
         assert len(np.unique(code, axis=0)) == n
         np.testing.assert_allclose(code, _antichain_reference(w, n, r), rtol=0, atol=1e-14)
@@ -786,17 +716,16 @@ def test_antichain_codebook_has_exactly_n_points(w, sizes, r):
 
 def test_antichain_codebook_of_one_map_cannot_split():
     single = WIFS(maps=(similitude_1d(1 / 3, 0.0),), probs=(1.0,))
-    np.testing.assert_allclose(_antichain_codebook(single, 1, 2.0), [[0.0]])
+    np.testing.assert_allclose(antichain_codebook(single, 1, 2.0), [[0.0]])
     with pytest.raises(DegenerateFit):
-        _antichain_codebook(single, 2, 2.0)
+        antichain_codebook(single, 2, 2.0)
     with pytest.raises(DegenerateFit):
         fit_dimension(single, 2.0, [2, 4], 500, seed=3)
 
 
 def test_start_codebook_runs_lloyd_once(cantor_samples):
-    start = _antichain_codebook(cantor(), 8, 2.0)
-    book = optimize_codebook(cantor_samples, 8, 2.0, restarts=4, seed=1, start=start)
-    assert book.restarts_used == 1
+    start = antichain_codebook(cantor(), 8, 2.0)
+    book = optimize_codebook(cantor_samples, 8, 2.0, start=start)
     code, dist, _ = _lloyd(cantor_samples.points, start, 2.0)
     assert book.distortion == dist
     np.testing.assert_array_equal(book.points, np.sort(code, axis=0))
@@ -815,8 +744,63 @@ def test_cantor_fit_rungs_reach_the_graf_luschgy_optimum():
         assert 1 / 1.1 <= ratio <= 1.1, (n, ratio)
 
 
-def test_ladder_seed_is_frozen():
-    # the (seed, n) -> substream map is part of the reproducibility contract
-    assert ladder_seed(7, 16) == 3742620831
-    assert ladder_seed(7, 32) == 154893639
-    assert ladder_seed(8, 16) != ladder_seed(7, 16)
+# ---------------------------------------------------------------------------
+# split trees
+# ---------------------------------------------------------------------------
+
+
+def test_cantor_split_tree_rungs_reach_the_graf_luschgy_optimum():
+    # The bare-sample fit, seeded by the split tree, reaches what the
+    # antichain seed reaches above: every Cantor r = 2 rung n = 2^k within
+    # 10% of (1/8) 9^-k.  The best of five k-means++ runs ends 1.46-1.90
+    # times above it at n = 32, 64 and 128 on these samples.
+    samples = chaos_game(cantor(), 20_000, seed=61)
+    fit = fit_dimension_from_samples(samples, 2.0, [8, 16, 32, 64, 128])
+    for n, v in fit.pairs:
+        ratio = v / (0.125 * 9.0 ** -math.log2(n))
+        assert 1 / 1.1 <= ratio <= 1.1, (n, ratio)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("w", [cantor(), _dust()], ids=["line", "plane"])
+def test_codebook_without_start_is_one_lloyd_run_from_the_split_tree(w, r):
+    s = chaos_game(w, 3000, seed=71)
+    for n in (1, 5, 16):
+        book = optimize_codebook(s, n, r)
+        leaves = _split_tree(s, r, [n])[n]
+        assert leaves.shape == (n, w.dim)
+        code, dist, _ = _lloyd(s.points, leaves, r)
+        assert book.distortion == dist
+        np.testing.assert_array_equal(book.points, code[np.lexsort(code.T[::-1])])
+
+
+def test_split_tree_rungs_are_prefixes_of_one_tree():
+    # Each split puts one half in its leaf's place and appends the other:
+    # the size-(j+1) codebook differs from the size-j one in one old row.
+    s = chaos_game(_dust(), 5000, seed=73)
+    books = _split_tree(s, 0.0, range(1, 41))
+    for j in range(1, 40):
+        assert (books[j + 1][:j] != books[j]).any(axis=1).sum() == 1
+    np.testing.assert_array_equal(books[40], _split_tree(s, 0.0, [40])[40])
+    np.testing.assert_allclose(books[1], [s.points.mean(axis=0)])
+
+
+def test_split_tree_repeats_leaves_past_the_distinct_samples():
+    x = np.random.default_rng(43).integers(0, 5, size=(400, 1)).astype(float)
+    books = _split_tree(SampleSet(points=x), 2.0, [5, 12])
+    np.testing.assert_array_equal(np.sort(books[5][:, 0]), np.arange(5.0))
+    np.testing.assert_array_equal(books[12], np.resize(books[5], (12, 1)))
+    book = optimize_codebook(SampleSet(points=x), 12, 2.0)
+    assert book.distortion == 0.0
+
+
+@pytest.mark.parametrize("w", [cantor(), _dust()], ids=["line", "plane"])
+def test_bare_sample_fit_is_rerun_and_thread_count_invariant(w, monkeypatch):
+    samples = chaos_game(w, 6000, seed=79)
+    fits = set()
+    for threads in ("1", "2", "2"):
+        monkeypatch.setenv("QDIM_THREADS", threads)
+        for r in (0.0, 2.0):
+            fit = fit_dimension_from_samples(samples, r, [4, 8, 16, 32])
+            fits.add((r, fit.pairs, fit.estimate, fit.ci_halfwidth))
+    assert len(fits) == 2
