@@ -20,7 +20,6 @@ from .errors import (
     DegenerateFit,
     DimensionError,
     EmptySelection,
-    EmptySet,
     InvalidInvariantSet,
     InvalidWord,
     NotNormalized,
@@ -87,7 +86,6 @@ __all__ = [
     "DimensionResult",
     "DiscreteMeasure",
     "EmptySelection",
-    "EmptySet",
     "InvalidInvariantSet",
     "InvalidWord",
     "KappaCurve",

@@ -43,7 +43,7 @@ from .measures import (
     translate,
     tv,
 )
-from .quantize import antichain_codebook, chaos_game, fit_dimension, optimize_codebook
+from .quantize import _ladder, antichain_codebook, chaos_game, fit_dimension, optimize_codebook
 from .separation import check_osc_sufficient, check_ssc, search_separated_sub_ifs
 
 __all__ = ["main"]
@@ -229,13 +229,18 @@ def _cmd_subifs_search(args) -> int:
     return 0
 
 
-def _cmd_quantize(args) -> int:
-    w = _load_wifs(args.wifs)
-    _require_positive("n", args.n)
+def _check_sampling(args) -> None:
+    """The options that ``quantize`` and ``estimate`` share."""
     _require_positive("samples", args.samples)
     _require_positive("restarts", args.restarts)
     _require_positive("burn-in", args.burn_in, strict=False)
     _require_positive("r", args.r, strict=False)
+
+
+def _cmd_quantize(args) -> int:
+    w = _load_wifs(args.wifs)
+    _require_positive("n", args.n)
+    _check_sampling(args)
     samples = chaos_game(w, args.samples, seed=args.seed, burn_in=args.burn_in)
     book = optimize_codebook(samples, args.n, args.r,
                              start=antichain_codebook(w, args.n, args.r))
@@ -253,14 +258,11 @@ def _cmd_quantize(args) -> int:
 def _cmd_estimate(args) -> int:
     w = _load_wifs(args.wifs)
     ns = _parse_ints("n-list", args.n_list)
-    _require_positive("samples", args.samples)
-    _require_positive("restarts", args.restarts)
-    _require_positive("burn-in", args.burn_in, strict=False)
-    _require_positive("r", args.r, strict=False)
-    if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-        raise _Invalid("n-list", f"need >= 2 strictly increasing positive sizes, got {ns}")
-    if max(ns) > args.samples / 100:
-        raise _Invalid("n-list", f"max n = {max(ns)} needs at least {100 * max(ns)} samples")
+    _check_sampling(args)
+    try:
+        _ladder(ns, args.r, args.samples)
+    except ValueError as exc:
+        raise _Invalid("n-list", str(exc)) from exc
     fit = fit_dimension(w, args.r, ns, args.samples, seed=args.seed, burn_in=args.burn_in)
     lines = ["n,r,distortion,log_n,neg_log_V,seed"]
     for n, value in fit.pairs:
@@ -393,30 +395,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_subifs_search)
 
-    p = sub.add_parser("quantize", help="chaos-game samples + optimised codebook")
-    p.add_argument("--wifs", required=True)
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--wifs", required=True, help="WIFS JSON file")
+    sampled.add_argument("--r", type=float, required=True,
+                         help="error order (0 for geometric mean)")
+    sampled.add_argument("--samples", type=int, required=True, help="chaos-game sample count")
+    sampled.add_argument("--seed", type=int, required=True,
+                         help="RNG seed (explicit, no default)")
+    sampled.add_argument("--restarts", type=int, default=5,
+                         help="accepted and validated for older scripts; no effect: each "
+                              "codebook is one Lloyd run from the system's antichain codebook")
+    sampled.add_argument("--burn-in", type=int, default=100)
+    sampled.add_argument("--out", help="output path (default stdout)")
+
+    p = sub.add_parser("quantize", parents=[sampled],
+                       help="chaos-game samples + optimised codebook (JSON)")
     p.add_argument("--n", type=int, required=True, help="codebook size")
-    p.add_argument("--r", type=float, required=True, help="error order (0 for geometric mean)")
-    p.add_argument("--samples", type=int, required=True, help="chaos-game sample count")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (explicit, no default)")
-    p.add_argument("--restarts", type=int, default=5,
-                   help="accepted and validated for older scripts; no effect: each rung is "
-                        "one Lloyd run from the system's antichain codebook")
-    p.add_argument("--burn-in", type=int, default=100)
-    p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_quantize)
 
-    p = sub.add_parser("estimate", help="dimension estimate over a codebook-size ladder")
-    p.add_argument("--wifs", required=True)
-    p.add_argument("--r", type=float, required=True)
+    p = sub.add_parser("estimate", parents=[sampled],
+                       help="dimension estimate over a codebook-size ladder (CSV)")
     p.add_argument("--n-list", required=True, help="comma-separated sizes, e.g. 16,32,64")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (explicit, no default)")
-    p.add_argument("--restarts", type=int, default=5,
-                   help="accepted and validated for older scripts; no effect: each rung is "
-                        "one Lloyd run from the system's antichain codebook")
-    p.add_argument("--burn-in", type=int, default=100)
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("measure", help="operations on discrete measures")

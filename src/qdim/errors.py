@@ -30,10 +30,6 @@ class DimensionError(QdimError):
     """Ambient dimensions of the operands do not match."""
 
 
-class EmptySet(QdimError):
-    """A point-set argument that must be non-empty is empty."""
-
-
 class InvalidInvariantSet(QdimError):
     """The candidate set K is not invariant under the supplied maps."""
 

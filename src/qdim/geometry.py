@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptySet
+from .errors import DimensionError
 
 __all__ = ["Box"]
 
@@ -53,17 +53,6 @@ class Box:
     @property
     def halfwidth(self) -> np.ndarray:
         return 0.5 * (self.hi - self.lo)
-
-    # ---- derived boxes -----------------------------------------------------
-
-    @staticmethod
-    def hull_of(boxes: "list[Box] | tuple[Box, ...]") -> "Box":
-        """Smallest box containing every box in the list."""
-        if not boxes:
-            raise EmptySet("hull of an empty collection of boxes")
-        lo = np.min([b.lo for b in boxes], axis=0)
-        hi = np.max([b.hi for b in boxes], axis=0)
-        return Box(lo, hi)
 
     # ---- predicates and metrics ---------------------------------------------
 

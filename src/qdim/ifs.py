@@ -250,14 +250,6 @@ class Word:
             if s > wifs.n_maps:
                 raise InvalidWord(f"symbol {s} exceeds the {wifs.n_maps} available maps")
 
-    def ratio(self, wifs: WIFS) -> float:
-        """Product of the scales along the word (1.0 for the empty word)."""
-        self._check_against(wifs)
-        out = 1.0
-        for s in self.symbols:
-            out *= wifs.maps[s - 1].scale
-        return out
-
     def weight(self, wifs: WIFS) -> float:
         """Product of the probabilities along the word (1.0 for the empty word)."""
         self._check_against(wifs)
@@ -298,7 +290,6 @@ class SubWIFS:
     Build through :func:`build_sub_wifs`, which validates everything.
     """
 
-    parent: WIFS
     level: int
     suffix: Word
     selection: tuple[Word, ...]
@@ -306,7 +297,7 @@ class SubWIFS:
     probs: np.ndarray
 
     def to_wifs(self) -> WIFS:
-        """Forget the parent: the sub-system as a standalone WIFS."""
+        """The sub-system as a standalone WIFS."""
         return WIFS(self.maps, self.probs)
 
     def __repr__(self) -> str:
@@ -344,14 +335,7 @@ def build_sub_wifs(wifs: WIFS, level: int, suffix: Word, selection) -> SubWIFS:
     maps = tuple(compose_word(wifs, w + suffix) for w in words)
     raw = np.array([(w + suffix).weight(wifs) for w in words])
     probs = raw / math.fsum(raw.tolist())
-    return SubWIFS(
-        parent=wifs,
-        level=level,
-        suffix=suffix,
-        selection=tuple(words),
-        maps=maps,
-        probs=probs,
-    )
+    return SubWIFS(level=level, suffix=suffix, selection=tuple(words), maps=maps, probs=probs)
 
 
 # ---------------------------------------------------------------------------

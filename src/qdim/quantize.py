@@ -90,7 +90,7 @@ EPS_LOG = 1e-12
 #: as most positive-order distortions are, and a relative one only above 1.
 REL_IMPROVEMENT_TOL = 1e-10
 
-#: ... or after this many rounds.
+#: ... or after this many rounds, on the codebook the last round measured.
 MAX_ROUNDS = 500
 
 #: Candidate count per cell (and per refinement) of the sample search that
@@ -654,16 +654,17 @@ def _reseed_empty(x: np.ndarray, code: np.ndarray, d: np.ndarray, idx: np.ndarra
     return code, True
 
 
-def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUNDS,
-           order: np.ndarray | None = None) -> tuple[np.ndarray, float, list[float]]:
-    """Run Lloyd iterations to (near) convergence.
+def _lloyd(x: np.ndarray, code: np.ndarray, r: float, order: np.ndarray | None = None
+           ) -> tuple[np.ndarray, float, list[float]]:
+    """Run Lloyd iterations to (near) convergence, or for ``MAX_ROUNDS``
+    rounds.
 
     ``order`` is the samples' :func:`_line_order`, computed here when not
     given; on a line the sorted sample values are gathered once per run.
     R^m assigns through :class:`_BoundedAssign`.  At r = 0 each recentering
     searches only the cells whose sample set changed since the previous one.
-    Returns the final codebook, its distortion, and the per-round distortion
-    history (non-increasing up to float dust).
+    Returns the last codebook measured, its distortion, and the per-round
+    distortion history (non-increasing up to float dust).
     """
     history: list[float] = []
     prev = math.inf
@@ -675,7 +676,7 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUN
     else:
         assign = functools.partial(_assign_line, xt[0], xt[0, order], order)
     before = None
-    for _ in range(max_rounds):
+    while True:
         d, idx = assign(code)
         code, reseeded = _reseed_empty(x, code, d, idx)
         if reseeded:
@@ -684,7 +685,8 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUN
         del d
         dist = float(np.mean(loss))
         history.append(dist)
-        if prev - dist < REL_IMPROVEMENT_TOL * max(1.0, abs(prev)) and math.isfinite(prev):
+        if (prev - dist < REL_IMPROVEMENT_TOL * max(1.0, abs(prev)) and math.isfinite(prev)
+                or len(history) == MAX_ROUNDS):
             break
         prev = dist
         changed = None
@@ -695,7 +697,7 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, max_rounds: int = MAX_ROUN
         # own; r = 0 keeps each sample's cell, in the smallest integer type.
         before = idx.astype(np.min_scalar_type(code.shape[0] - 1)) if r == 0.0 else None
         del loss, idx
-    return code, history[-1], history
+    return code, dist, history
 
 
 def _changed_cells(before: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -894,6 +896,25 @@ class DimensionFit:
     ci_halfwidth: float
 
 
+def _ladder(n_list, r: float, count: int) -> list[int]:
+    """``n_list`` as ints, once it is a ladder of two or more strictly
+    increasing positive sizes that ``count`` samples can fit (at least 100
+    samples per code point, below which the error estimate is pure noise)
+    and ``r`` is finite and >= 0.  Raises ``DegenerateFit`` for fewer than
+    two sizes and ``ValueError`` otherwise."""
+    ns = [int(n) for n in n_list]
+    if len(ns) < 2:
+        raise DegenerateFit(f"need at least two codebook sizes, got {ns}")
+    if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
+        raise ValueError(f"need strictly increasing positive sizes, got {ns}")
+    if max(ns) > count / 100:
+        raise ValueError(f"max n = {max(ns)} needs at least {100 * max(ns)} samples, "
+                         f"got {count}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"order r must be finite and >= 0, got {r}")
+    return ns
+
+
 def fit_dimension_from_samples(samples: SampleSet, r: float, n_list) -> DimensionFit:
     """Fit the order-r dimension on an existing sample set.
 
@@ -908,10 +929,11 @@ def fit_dimension_from_samples(samples: SampleSet, r: float, n_list) -> Dimensio
         fewer than two ladder sizes, a zero/flat error estimate, or a
         non-positive slope.
     ValueError
-        when ``max(n_list) > samples.count / 100`` - with fewer than ~100
-        samples per code point the error estimate is pure noise.
+        a ladder or order that :func:`_ladder` refuses, checked before the
+        tree is built.
     """
-    return _fit_ladder(samples, r, n_list, lambda ns: _split_tree(samples, r, ns).__getitem__)
+    ns = _ladder(n_list, r, samples.count)
+    return _fit_ladder(samples, r, ns, _split_tree(samples, r, ns).__getitem__)
 
 
 def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
@@ -920,34 +942,20 @@ def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
     but with each rung one Lloyd run from :func:`antichain_codebook`.
 
     One sample set (of size ``samples_per_run``) is shared by every ladder
-    size, and no rung draws random numbers.  Raises as
-    :func:`fit_dimension_from_samples`, and ``DegenerateFit`` for a
-    one-map system.
+    size, and no rung draws random numbers.  The ladder is checked before
+    any sample is drawn.  Raises as :func:`fit_dimension_from_samples`, and
+    ``DegenerateFit`` for a one-map system.
     """
+    ns = _ladder(n_list, r, samples_per_run)
     samples = chaos_game(wifs, samples_per_run, seed, burn_in=burn_in)
-    return _fit_ladder(samples, r, n_list,
-                       lambda ns: functools.partial(antichain_codebook, wifs, r=r))
+    return _fit_ladder(samples, r, ns, functools.partial(antichain_codebook, wifs, r=r))
 
 
-def _fit_ladder(samples: SampleSet, r: float, n_list, starts) -> DimensionFit:
-    """Validate the ladder, run one Lloyd run per rung n in parallel from
-    ``starts(ns)(n)`` (the samples sorted once, before), and regress the log
-    errors on log n."""
-    ns = [int(n) for n in n_list]
-    if len(ns) < 2:
-        raise DegenerateFit(f"need at least two codebook sizes, got {ns}")
-    if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-        raise ValueError("n_list must be strictly increasing positive integers")
-    if max(ns) > samples.count / 100:
-        raise ValueError(
-            f"max(n_list)={max(ns)} too large for {samples.count} samples "
-            "(need at least 100 samples per code point)"
-        )
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"order r must be finite and >= 0, got {r}")
-
+def _fit_ladder(samples: SampleSet, r: float, ns: list[int], start) -> DimensionFit:
+    """Run one Lloyd run per rung n of the :func:`_ladder` ``ns`` in
+    parallel from ``start(n)`` (the samples sorted once, before), and
+    regress the log errors on log n."""
     samples.line_order  # sorted here once, not in every rung's thread
-    start = starts(ns)
     pairs = tuple(parallel_map(
         lambda n: (n, optimize_codebook(samples, n, r, start=start(n)).distortion), ns))
 

@@ -87,16 +87,20 @@ def _validate_family(maps, box: Box) -> list[Box]:
     return images
 
 
-def _pairwise_gaps(images: list[Box]) -> tuple[float, list[tuple[int, int]]]:
-    """Smallest pairwise gap and the list of overlapping (guard-close) pairs."""
-    min_gap = float("inf")
-    touching: list[tuple[int, int]] = []
+def _gap_matrix(images: list[Box]) -> np.ndarray:
+    """Pairwise Euclidean gaps between the image boxes, infinite on the
+    diagonal."""
+    gap = np.full((len(images), len(images)), np.inf)
     for i, j in itertools.combinations(range(len(images)), 2):
-        g = images[i].gap_to(images[j])
-        min_gap = min(min_gap, g)
-        if g <= 2.0 * GUARD:
-            touching.append((i, j))
-    return min_gap, touching
+        gap[i, j] = gap[j, i] = images[i].gap_to(images[j])
+    return gap
+
+
+def _pairwise_gaps(images: list[Box]) -> tuple[float, list[tuple[int, int]]]:
+    """Smallest pairwise gap and the guard-close pairs i < j, in lexicographic
+    order."""
+    gap = _gap_matrix(images)
+    return float(gap.min()), [(int(i), int(j)) for i, j in np.argwhere(np.triu(gap <= 2.0 * GUARD))]
 
 
 def _overlap_length_1d(a: Box, b: Box) -> float:
@@ -143,9 +147,9 @@ def check_osc_sufficient(maps, box: Box) -> SeparationReport:
     failing this sufficient test proves nothing.
     """
     images = _validate_family(maps, box)
-    ssc = check_ssc(maps, box)
-    if ssc.status is Status.SATISFIED:
-        return SeparationReport(Condition.OSC, Status.SATISFIED, ssc.witness, ssc.min_gap)
+    min_gap, close_pairs = _pairwise_gaps(images)
+    if not close_pairs:
+        return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(images), min_gap)
 
     if box.dim == 1:
         order = sorted(range(len(images)), key=lambda k: (float(images[k].lo[0]), float(images[k].hi[0])))
@@ -154,10 +158,9 @@ def check_osc_sufficient(maps, box: Box) -> SeparationReport:
             for k in range(len(order) - 1)
         )
         if interiors_disjoint:
-            return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(images), max(ssc.min_gap, 0.0))
+            return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(images), max(min_gap, 0.0))
 
-    witness = ssc.witness if ssc.status is not Status.SATISFIED else None
-    return SeparationReport(Condition.OSC, Status.UNKNOWN, witness, ssc.min_gap)
+    return SeparationReport(Condition.OSC, Status.UNKNOWN, close_pairs[0], min_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +203,7 @@ def search_separated_sub_ifs(
         words = _all_words(wifs.n_maps, level)
         count = len(words)
         images = [compose_word(wifs, w + suffix).box_image(hull) for w in words]
-        gap = np.full((count, count), np.inf)
-        for i, j in itertools.combinations(range(count), 2):
-            gap[i, j] = gap[j, i] = images[i].gap_to(images[j])
-        separated = gap > 2.0 * GUARD
+        separated = _gap_matrix(images) > 2.0 * GUARD
 
         if count <= 16:
             candidates = itertools.chain.from_iterable(

@@ -5,6 +5,7 @@ field named on stderr), 1 for runtime failures.  Outputs written twice with
 the same arguments must be byte-identical.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -345,6 +346,23 @@ def test_estimate_rejects_bad_ladder(wifs_files, capsys):
     assert main(base + ["--n-list", "8,1600"]) == 2
     err = capsys.readouterr().err
     assert err.count("error: n-list") == 2
+
+
+def test_every_name_the_benchmark_trace_wraps_resolves(monkeypatch):
+    # perfbench/run.py's install_spans wraps qdim functions at the module
+    # names the CLI looks them up by (qdim.cli.solve_kappa among them), and
+    # fails on any name that a refactor drops.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its own dirs
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    fit = qdim.cli.fit_dimension
+    tracer = run.spans.Tracer()
+    run.install_spans(tracer)
+    assert qdim.cli.fit_dimension is not fit
+    tracer.unpatch()
+    assert qdim.cli.fit_dimension is fit
 
 
 def test_estimate_degenerate_system_is_runtime_error(wifs_files, capsys):

@@ -19,13 +19,6 @@ def test_box_center_halfwidth_diameter():
     assert 2.0 * np.linalg.norm(b.halfwidth) == pytest.approx(np.sqrt(8.0))
 
 
-def test_hull_of_boxes():
-    a = Box(np.array([0.0]), np.array([1.0]))
-    b = Box(np.array([2.0]), np.array([3.0]))
-    h = Box.hull_of([a, b])
-    assert float(h.lo[0]) == 0.0 and float(h.hi[0]) == 3.0
-
-
 def test_containment_and_slack():
     outer = Box(np.array([0.0]), np.array([1.0]))
     inner = Box(np.array([0.2]), np.array([0.8]))

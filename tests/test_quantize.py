@@ -733,6 +733,31 @@ def test_start_codebook_runs_lloyd_once(cantor_samples):
         optimize_codebook(cantor_samples, 8, 2.0, start=start[:7])
 
 
+@pytest.mark.parametrize("w", [cantor(), _dust()], ids=["line", "plane"])
+def test_lloyd_cut_at_the_round_cap_ends_on_a_codebook_it_measured(w, monkeypatch):
+    # A run that MAX_ROUNDS cuts short reports the last codebook it measured
+    # at that codebook's own distortion, and each round more lowers it.
+    samples = chaos_game(w, 20_000, seed=1)
+    seen = []
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(quantize, "MAX_ROUNDS", cap)
+        book = optimize_codebook(samples, 8, 2.0, start=samples.points[:8])
+        assert book.distortion == estimate_vnr(samples, book, 2.0)
+        seen.append(book.distortion)
+    assert seen[0] > seen[1] > seen[2]
+
+
+@pytest.mark.parametrize("r, n_list", [(2.0, [8, 5000]), (2.0, [16, 8]), (2.0, [8]),
+                                       (math.nan, [8, 16])])
+def test_fit_checks_the_ladder_before_sampling(monkeypatch, r, n_list):
+    def sample(*args, **kwargs):
+        raise AssertionError("chaos_game ran before the ladder was checked")
+
+    monkeypatch.setattr(quantize, "chaos_game", sample)
+    with pytest.raises(ValueError):
+        fit_dimension(cantor(), r, n_list, 400_000, seed=1)
+
+
 def test_cantor_fit_rungs_reach_the_graf_luschgy_optimum():
     # From the antichain codebook every rung n = 2^k of the Cantor r = 2 fit
     # ends within 10% of the optimal V = (1/8) 9^-k (Graf & Luschgy 1997).
