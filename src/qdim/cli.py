@@ -207,9 +207,8 @@ def _cmd_subifs_search(args) -> int:
     w = _load_wifs(args.wifs)
     suffix = _parse_word("suffix", args.suffix) if args.suffix else Word(())
     _require_positive("n-max", args.n_max)
-    _require_positive("budget", args.budget)
     try:
-        sub = search_separated_sub_ifs(w, suffix=suffix, n_max=args.n_max, budget=args.budget)
+        sub = search_separated_sub_ifs(w, suffix=suffix, n_max=args.n_max)
     except QdimError as exc:
         raise _Invalid("suffix", str(exc)) from exc
     if sub is None:
@@ -391,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wifs", required=True)
     p.add_argument("--suffix", help="gluing word, e.g. 1 (default: empty)")
     p.add_argument("--n-max", type=int, default=2, help="maximum level to try (default 2)")
-    p.add_argument("--budget", type=int, default=65536, help="candidate-selection budget")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_subifs_search)
 

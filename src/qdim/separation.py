@@ -70,7 +70,9 @@ class SeparationReport:
     min_gap: float
 
 
-def _validate_family(maps, box: Box) -> list[Box]:
+def _validate_family(maps, box: Box) -> tuple[list, list[Box]]:
+    """The family as a list and its image boxes, after checking that every
+    image stays in K."""
     maps = list(maps)
     if not maps:
         raise ValueError("need at least one map")
@@ -84,22 +86,15 @@ def _validate_family(maps, box: Box) -> list[Box]:
                 f"K is not invariant: image of map {k} leaves K "
                 f"(image [{img.lo}, {img.hi}] vs K [{box.lo}, {box.hi}])"
             )
-    return images
-
-
-def _gap_matrix(images: list[Box]) -> np.ndarray:
-    """Pairwise Euclidean gaps between the image boxes, infinite on the
-    diagonal."""
-    gap = np.full((len(images), len(images)), np.inf)
-    for i, j in itertools.combinations(range(len(images)), 2):
-        gap[i, j] = gap[j, i] = images[i].gap_to(images[j])
-    return gap
+    return maps, images
 
 
 def _pairwise_gaps(images: list[Box]) -> tuple[float, list[tuple[int, int]]]:
-    """Smallest pairwise gap and the guard-close pairs i < j, in lexicographic
-    order."""
-    gap = _gap_matrix(images)
+    """Smallest pairwise Euclidean gap between the image boxes (infinite for
+    one box) and the guard-close pairs i < j, in lexicographic order."""
+    gap = np.full((len(images), len(images)), np.inf)
+    for i, j in itertools.combinations(range(len(images)), 2):
+        gap[i, j] = gap[j, i] = images[i].gap_to(images[j])
     return float(gap.min()), [(int(i), int(j)) for i, j in np.argwhere(np.triu(gap <= 2.0 * GUARD))]
 
 
@@ -121,8 +116,7 @@ def check_ssc(maps, box: Box, hull_is_tight: bool = False) -> SeparationReport:
     InvalidInvariantSet
         when some image leaves K (beyond a 1e-9 slack).
     """
-    images = _validate_family(maps, box)
-    maps = list(maps)
+    maps, images = _validate_family(maps, box)
     min_gap, close_pairs = _pairwise_gaps(images)
     if not close_pairs:
         return SeparationReport(Condition.SSC, Status.SATISFIED, tuple(images), min_gap)
@@ -146,7 +140,7 @@ def check_osc_sufficient(maps, box: Box) -> SeparationReport:
     endpoints allowed - and stay inside K.  Everything else is UNKNOWN:
     failing this sufficient test proves nothing.
     """
-    images = _validate_family(maps, box)
+    _, images = _validate_family(maps, box)
     min_gap, close_pairs = _pairwise_gaps(images)
     if not close_pairs:
         return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(images), min_gap)
@@ -172,63 +166,41 @@ def _all_words(n_maps: int, length: int) -> list[Word]:
     return [Word(p) for p in itertools.product(range(1, n_maps + 1), repeat=length)]
 
 
-def search_separated_sub_ifs(
-    wifs: WIFS,
-    suffix: Word = Word(),
-    n_max: int = 2,
-    budget: int = 65536,
-) -> SubWIFS | None:
+def search_separated_sub_ifs(wifs: WIFS, suffix: Word = Word(), n_max: int = 2) -> SubWIFS | None:
     """Look for a strict level-n selection whose glued maps satisfy SSC.
 
-    For each level ``n = 1 .. n_max`` the candidate selections are strict
-    non-empty subsets of the ``N**n`` level-n words, each word glued to the
-    common ``suffix``.  When ``N**n <= 16`` the subsets are enumerated
-    largest-first (ties broken by lexicographically smallest index set) so
-    the first hit is a maximal selection; beyond that scale a single greedy
-    pass adds words in decreasing parent weight, keeping a word whenever its
-    image box stays disjoint from the images already kept.
+    For each level ``n = 1 .. n_max`` the level-n words, each glued to the
+    common ``suffix``, are taken in order of the right end of their image
+    box along the first coordinate (ties in word order), and a word is kept
+    when its image lies more than ``2 * GUARD`` from every image already
+    kept.  If every word is kept, the last word in word order is dropped so
+    the selection stays strict.  In 1-d the images are intervals and this
+    earliest-end pass keeps a largest separated selection; in R^m it keeps
+    a maximal one.
 
-    ``budget`` caps the total number of candidate selections examined across
-    all levels.  Returns the first certified sub-system of two or more words;
-    a single word is vacuously separated (its gap is infinite), so the first
-    one is returned only when no level up to ``n_max`` certifies more, and
-    ``None`` when the budget runs out first.  The returned sub-system is
-    always re-verified through :func:`check_ssc`.
+    Returns the first level's selection of two or more words; a single word
+    is vacuously separated (its gap is infinite), so the first one is
+    returned only when no level up to ``n_max`` keeps more, and ``None``
+    when no level keeps any word.  Each selection is re-verified through
+    :func:`check_ssc`, and a selection that fails it raises ``RuntimeError``.
     """
     hull = attractor_hull(wifs)
-    examined = 0
     fallback = None
-
     for level in range(1, n_max + 1):
         words = _all_words(wifs.n_maps, level)
-        count = len(words)
         images = [compose_word(wifs, w + suffix).box_image(hull) for w in words]
-        separated = _gap_matrix(images) > 2.0 * GUARD
-
-        if count <= 16:
-            candidates = itertools.chain.from_iterable(
-                itertools.combinations(range(count), size) for size in range(count - 1, 0, -1))
-        else:
-            weights = [(w + suffix).weight(wifs) for w in words]
-            order = sorted(range(count), key=lambda k: (-weights[k], words[k].symbols))
-            picked: list[int] = []
-            for k in order:
-                if all(separated[k, j] for j in picked):
-                    picked.append(k)
-            if len(picked) == count:
-                picked.pop()  # strictness: drop the lightest word added last
-            candidates = [tuple(sorted(picked))] if picked else []
-
-        for combo in candidates:
-            if len(combo) == 1 and fallback is not None:
-                continue
-            examined += 1
-            if examined > budget:
-                return fallback
-            if all(separated[i, j] for i, j in itertools.combinations(combo, 2)):
-                sub = build_sub_wifs(wifs, level, suffix, [words[k] for k in combo])
-                if check_ssc(sub.maps, hull).status is Status.SATISFIED:
-                    if len(combo) > 1:
-                        return sub
-                    fallback = sub
+        kept: list[int] = []
+        for k in sorted(range(len(words)), key=lambda k: float(images[k].hi[0])):
+            if all(images[k].gap_to(images[j]) > 2.0 * GUARD for j in kept):
+                kept.append(k)
+        if len(kept) == len(words):
+            kept.remove(len(words) - 1)  # strictness: drop the last word in word order
+        if not kept or (len(kept) == 1 and fallback is not None):
+            continue
+        sub = build_sub_wifs(wifs, level, suffix, [words[k] for k in kept])
+        if check_ssc(sub.maps, hull).status is not Status.SATISFIED:
+            raise RuntimeError(f"{sub!r} fails its SSC re-check")
+        if len(kept) > 1:
+            return sub
+        fallback = sub
     return fallback

@@ -241,6 +241,52 @@ def test_subifs_search_with_suffix(wifs_files, capsys):
     assert sum(obj["probs"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_subifs_search_one_map_system_finds_nothing(wifs_files, capsys):
+    # every level has a single word, and a strict selection must leave it out
+    assert main(["subifs-search", "--wifs", wifs_files["single"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"found": False, "n_max": 2, "suffix": ""}
+
+
+def test_subifs_search_refuses_a_suffix_symbol_out_of_range(wifs_files, capsys):
+    assert main(["subifs-search", "--wifs", wifs_files["t02"], "--suffix", "9"]) == 2
+    assert "error: suffix" in capsys.readouterr().err
+
+
+def test_subifs_search_has_no_budget_option(wifs_files):
+    with pytest.raises(SystemExit) as exc:
+        main(["subifs-search", "--wifs", wifs_files["t02"], "--budget", "5"])
+    assert exc.value.code == 2
+
+
+def test_every_benchmark_search_passes_its_check(monkeypatch, tmp_path, capsys):
+    # perfbench/checks.py reads min_gap as a number, so a singleton answer
+    # (min_gap null) would make a benchmark run malformed.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "path", [str(perfbench)] + sys.path)
+    modules = {}
+    for name in ("workloads", "checks"):  # checks imports workloads by name
+        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    workloads, checks = modules["workloads"], modules["checks"]
+    searched = 0
+    for make in workloads.WORKLOADS.values():
+        for seed in (1, 2, 3):
+            workdir = tmp_path / f"{make.__name__}_{seed}"
+            workdir.mkdir()
+            for call in make(seed, workdir).exact_calls:
+                if call.kind != "subifs-search":
+                    continue
+                rc = main(call.argv)
+                out = capsys.readouterr().out
+                assert rc == 0, call.label
+                assert len(json.loads(out)["selection"]) >= 2, call.label
+                assert checks.check(call, rc, out.encode()).failed == 0, call.label
+                searched += 1
+    assert searched == 18
+
+
 # ---------------------------------------------------------------------------
 # quantize / estimate
 # ---------------------------------------------------------------------------
