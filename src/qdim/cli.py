@@ -17,6 +17,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -208,13 +209,13 @@ def _cmd_subifs_search(args) -> int:
     suffix = _parse_word("suffix", args.suffix) if args.suffix else Word(())
     _require_positive("n-max", args.n_max)
     try:
-        sub = search_separated_sub_ifs(w, suffix=suffix, n_max=args.n_max)
+        found = search_separated_sub_ifs(w, suffix=suffix, n_max=args.n_max)
     except QdimError as exc:
         raise _Invalid("suffix", str(exc)) from exc
-    if sub is None:
+    if found is None:
         _emit_json({"found": False, "n_max": args.n_max, "suffix": str(suffix)}, args.out)
         return 0
-    report = check_ssc(list(sub.maps), attractor_hull(w))
+    sub, report = found
     _emit_json({
         "found": True,
         "level": sub.level,
@@ -361,7 +362,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each ``add_argument``
+    sizes a help formatter to the terminal, so a build costs about 1 ms."""
     parser = argparse.ArgumentParser(
         prog="qdim",
         description="Quantization dimensions of self-similar measures.",

@@ -141,6 +141,8 @@ class SampleSet:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError(f"points must be a non-empty (k, m) array, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -165,11 +167,15 @@ def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleS
     Starts at the attractor-hull centre, applies ``burn_in`` warm-up steps,
     then records ``count`` further iterates.  The orbit is composed by one
     doubling scan over the drawn affine steps, in every dimension: after the
-    pass at width ``step``, row k holds the composition of the 2 * step steps
-    ending at k (of all of them, with the start folded into step 0, once
-    k < 2 * step), so ceil(log2(burn_in + count)) passes leave the whole
-    orbit.  Samples equal the sequential orbit up to rounding; identical
-    inputs produce a bit-identical sample set.
+    pass at width ``step``, step k holds the composition of the 2 * step
+    steps ending at k (of all of them, with the start folded into step 0,
+    once k < 2 * step), so ceil(log2(burn_in + count)) passes leave the
+    whole orbit.  The scan runs coordinate-major: ``lin[i, j]`` is the
+    (i, j) entry of every step's linear part and ``x[i]`` its offset's
+    coordinate i, each one contiguous row, and a pass forms every entry of
+    the new offsets, then of the new linear parts, as a sum of row products
+    in index order.  Samples equal the sequential orbit up to rounding;
+    identical inputs produce a bit-identical sample set.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -178,15 +184,42 @@ def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleS
     rng = np.random.default_rng(seed)
     total = burn_in + count
     picks = rng.choice(wifs.n_maps, size=total, p=wifs.probs)
-    lin = np.stack([f.scale * f.isometry for f in wifs.maps])[picks]
-    x = np.stack([f.translation for f in wifs.maps])[picks]
-    x[0] += lin[0] @ attractor_hull(wifs).center
+    mats = np.stack([f.scale * f.isometry for f in wifs.maps])
+    m = mats.shape[1]
+    lin = np.take(mats.transpose(1, 2, 0), picks, axis=2)
+    x = np.take(np.stack([f.translation for f in wifs.maps], axis=1), picks, axis=1)
+    x[:, 0] += mats[picks[0]] @ attractor_hull(wifs).center
+    del picks
     step = 1
     while step < total:
-        x[step:] += np.einsum("kij,kj->ki", lin[step:], x[:-step])
-        lin[step:] = lin[step:] @ lin[:-step]
+        new = np.empty((m, m, total - step))
+        # The new offsets first, all from the old ones: their sums go to
+        # new[-1], with new[0, 0] as the scratch row, and are added at once.
+        for i in range(m):
+            _row_products(lin[i, :, step:], x[:, :-step], new[-1, i], new[0, 0])
+        x[:, step:] += new[-1]
+        # Then the linear parts.  The last entry is formed last, so its row
+        # is the scratch until then; it reads no lin[i, j] with i, j < m - 1,
+        # so those take their new values first and free new[0, 0] for it.
+        # (At m = 1 every sum has one product and no scratch is touched.)
+        last = new[-1, -1]
+        for i, j in itertools.islice(itertools.product(range(m), repeat=2), m * m - 1):
+            _row_products(lin[i, :, step:], lin[:, j, :-step], new[i, j], last)
+        lin[:-1, :-1, step:] = new[:-1, :-1]
+        _row_products(lin[-1, :, step:], lin[:, -1, :-step], last, new[0, 0])
+        lin[-1, :, step:] = new[-1]
+        lin[:-1, -1, step:] = new[:-1, -1]
+        del new, last
         step *= 2
-    return SampleSet(points=x[burn_in:])
+    return SampleSet(points=x[:, burn_in:].T)
+
+
+def _row_products(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out = sum_j a[j] * b[j]`` over rows, summed in j order; ``tmp`` is
+    a scratch row for every product after the first."""
+    np.multiply(a[0], b[0], out=out)
+    for j in range(1, len(a)):
+        out += np.multiply(a[j], b[j], out=tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +232,18 @@ def _line_order(x: np.ndarray) -> np.ndarray | None:
 
     In 1-d every Voronoi cell is an interval, so under this one order each
     cell is a contiguous run of samples, ties in x kept in sample order.
-    Seeding, assignment and the per-cell slices all read it.
+    Seeding, assignment and the per-cell slices all read it.  numpy's
+    default (unstable, vectorised) sort serves when the sorted values hold
+    no two equal neighbours: then only one order sorts them, the stable one.
+    Otherwise (-0.0 == 0.0 included) the stable sort runs.
     """
-    return np.argsort(x[:, 0], kind="stable") if x.shape[1] == 1 else None
+    if x.shape[1] != 1:
+        return None
+    order = np.argsort(x[:, 0])
+    xs = x[order, 0]
+    if np.any(xs[1:] == xs[:-1]):
+        order = np.argsort(x[:, 0], kind="stable")
+    return order
 
 
 def _assign(x: np.ndarray, code: np.ndarray, order: np.ndarray | None = None

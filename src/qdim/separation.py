@@ -166,7 +166,8 @@ def _all_words(n_maps: int, length: int) -> list[Word]:
     return [Word(p) for p in itertools.product(range(1, n_maps + 1), repeat=length)]
 
 
-def search_separated_sub_ifs(wifs: WIFS, suffix: Word = Word(), n_max: int = 2) -> SubWIFS | None:
+def search_separated_sub_ifs(wifs: WIFS, suffix: Word = Word(), n_max: int = 2
+                             ) -> tuple[SubWIFS, SeparationReport] | None:
     """Look for a strict level-n selection whose glued maps satisfy SSC.
 
     For each level ``n = 1 .. n_max`` the level-n words, each glued to the
@@ -182,7 +183,8 @@ def search_separated_sub_ifs(wifs: WIFS, suffix: Word = Word(), n_max: int = 2) 
     is vacuously separated (its gap is infinite), so the first one is
     returned only when no level up to ``n_max`` keeps more, and ``None``
     when no level keeps any word.  Each selection is re-verified through
-    :func:`check_ssc`, and a selection that fails it raises ``RuntimeError``.
+    :func:`check_ssc` and returned with that report (its ``min_gap`` is the
+    certified gap); a selection that fails it raises ``RuntimeError``.
     """
     hull = attractor_hull(wifs)
     fallback = None
@@ -198,9 +200,10 @@ def search_separated_sub_ifs(wifs: WIFS, suffix: Word = Word(), n_max: int = 2) 
         if not kept or (len(kept) == 1 and fallback is not None):
             continue
         sub = build_sub_wifs(wifs, level, suffix, [words[k] for k in kept])
-        if check_ssc(sub.maps, hull).status is not Status.SATISFIED:
+        report = check_ssc(sub.maps, hull)
+        if report.status is not Status.SATISFIED:
             raise RuntimeError(f"{sub!r} fails its SSC re-check")
         if len(kept) > 1:
-            return sub
-        fallback = sub
+            return sub, report
+        fallback = sub, report
     return fallback

@@ -258,6 +258,22 @@ def test_subifs_search_has_no_budget_option(wifs_files):
     assert exc.value.code == 2
 
 
+def test_subifs_search_solves_the_hull_once_and_certifies_once(wifs_files, monkeypatch, capsys):
+    calls = {"attractor_hull": 0, "check_ssc": 0}
+    for name in calls:
+        real = getattr(qdim.separation, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in (qdim.cli, qdim.separation):
+            monkeypatch.setattr(module, name, counted)
+    assert main(["subifs-search", "--wifs", wifs_files["t02"]]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "Satisfied"
+    assert calls == {"attractor_hull": 1, "check_ssc": 1}
+
+
 def test_every_benchmark_search_passes_its_check(monkeypatch, tmp_path, capsys):
     # perfbench/checks.py reads min_gap as a number, so a singleton answer
     # (min_gap null) would make a benchmark run malformed.

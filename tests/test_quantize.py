@@ -143,6 +143,77 @@ def test_chaos_game_scan_matches_sequential_orbit(name, count, burn_in):
         assert np.all((pts >= hull.lo - 1e-9) & (pts <= hull.hi + 1e-9))
 
 
+def _step_major_scan(wifs, count, seed, burn_in):
+    """Reference: the same doubling scan on step-major (k, m, m) and (k, m)
+    arrays, one einsum and one stacked matmul per pass."""
+    picks = np.random.default_rng(seed).choice(wifs.n_maps, size=burn_in + count, p=wifs.probs)
+    lin = np.stack([f.scale * f.isometry for f in wifs.maps])[picks]
+    x = np.stack([f.translation for f in wifs.maps])[picks]
+    x[0] += lin[0] @ attractor_hull(wifs).center
+    step = 1
+    while step < burn_in + count:
+        x[step:] += np.einsum("kij,kj->ki", lin[step:], x[:-step])
+        lin[step:] = lin[step:] @ lin[:-step]
+        step *= 2
+    return x[burn_in:]
+
+
+#: Systems whose composed linear parts are scaled signed permutations, so each
+#: entry of a product is one rounded product plus exact zeros, whatever the
+#: summation.  rot_generic_0.7's entries sum two rounded products, which the
+#: stacked matmul's BLAS kernel may fuse into one multiply-add (OpenBLAS's
+#: Haswell kernel does); the scan rounds each product.
+_EXACT_SUMS = ("cantor", "reflection_0.99", "rot90_0.99")
+
+
+@pytest.mark.parametrize("count,burn_in", [(1, 100), (1, 0), (300, 0), (100_000, 100)])
+@pytest.mark.parametrize("name", sorted(n for n, w in _SCAN_SYSTEMS.items() if w.dim <= 2))
+def test_chaos_game_scan_matches_step_major_scan(name, count, burn_in):
+    w = _SCAN_SYSTEMS[name]
+    pts = chaos_game(w, count, seed=23, burn_in=burn_in).points
+    ref = _step_major_scan(w, count, 23, burn_in)
+    if name in _EXACT_SUMS:
+        assert np.array_equal(pts, ref)
+    else:
+        assert np.max(np.abs(pts - ref)) <= 1e-15 * max(1.0, float(np.max(np.abs(ref))))
+
+
+_DUST = WIFS(maps=tuple(Similitude(1 / 3, iso, np.array(t)) for iso, t in
+                        [(np.eye(2), [0.0, 0.0]), (np.eye(2), [2 / 3, 0.0]),
+                         (np.array([[0.0, -1.0], [1.0, 0.0]]), [1 / 3, 2 / 3]),
+                         (np.eye(2), [2 / 3, 2 / 3])]),
+             probs=(0.4, 0.3, 0.2, 0.1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_chaos_game_is_bit_identical_to_step_major_scan_at_ladder_sizes(seed):
+    # the Cantor and the rotated dust at the sample counts of their ladders
+    for w, count in ((cantor(), 30_000), (_DUST, 15_000)):
+        assert np.array_equal(chaos_game(w, count, seed).points, _step_major_scan(w, count, seed, 100))
+
+
+def test_line_order_is_the_stable_order():
+    rng = np.random.default_rng(31)
+    sets = [rng.integers(0, 20, size=500).astype(float)]
+    for _ in range(8):  # one 0.0 and one -0.0, equal under == but not bitwise
+        x = rng.normal(size=1000)
+        x[rng.choice(1000, size=2, replace=False)] = [0.0, -0.0]
+        sets.append(x)
+    sets += [chaos_game(cantor(), 30_000, seed=s).points[:, 0] for s in range(1, 5)]
+    for x in sets:
+        np.testing.assert_array_equal(quantize._line_order(x[:, None]), np.argsort(x, kind="stable"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampleset_refuses_non_finite_points(cantor_samples, bad):
+    pts = cantor_samples.points.copy()
+    pts[17, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_dimension_from_samples(SampleSet(points=pts), 2.0, [8, 16, 32])
+    with pytest.raises(ValueError, match="finite"):
+        optimize_codebook(SampleSet(points=pts), 8, 2.0)
+
+
 def test_chaos_game_validates():
     with pytest.raises(ValueError):
         chaos_game(cantor(), 0, seed=1)

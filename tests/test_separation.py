@@ -126,7 +126,7 @@ def test_osc_never_claims_violation(t02):
 
 def test_search_finds_separated_pair_at_level_one(t02):
     w, _ = t02
-    sub = search_separated_sub_ifs(w)  # empty suffix
+    sub, _ = search_separated_sub_ifs(w)  # empty suffix
     assert sub is not None
     assert sub.level == 1
     assert [str(word) for word in sub.selection] == ["1", "3"]
@@ -134,7 +134,7 @@ def test_search_finds_separated_pair_at_level_one(t02):
 
 def test_search_with_suffix_uses_glued_images(t02):
     w, _ = t02
-    sub = search_separated_sub_ifs(w, suffix=Word.parse("1"))
+    sub, _ = search_separated_sub_ifs(w, suffix=Word.parse("1"))
     assert sub is not None
     assert sub.level == 1
     # gluing "1" shrinks every image by 1/4, so even overlapping level-1
@@ -146,7 +146,7 @@ def test_search_with_suffix_uses_glued_images(t02):
 def test_search_prefers_largest_selection():
     rng = np.random.default_rng(42)
     w = random_ssc_wifs(rng, n_min=4, n_max=4)
-    sub = search_separated_sub_ifs(w)
+    sub, _ = search_separated_sub_ifs(w)
     assert sub is not None
     # parent satisfies SSC already, so the maximal strict subset has N-1 maps
     assert sub.level == 1
@@ -158,7 +158,7 @@ def test_search_drops_the_last_word_when_all_are_separated():
     # dropped for strictness is the last in word order, not the rightmost
     w = WIFS(maps=(similitude_1d(0.25, 0.75), similitude_1d(0.25, 0.0), similitude_1d(0.25, 0.4)),
              probs=(1 / 3, 1 / 3, 1 / 3))
-    sub = search_separated_sub_ifs(w)
+    sub, _ = search_separated_sub_ifs(w)
     assert sub.level == 1
     assert [str(word) for word in sub.selection] == ["1", "2"]
 
@@ -199,7 +199,7 @@ def test_search_keeps_a_largest_selection_in_1d():
         maps = tuple(similitude_1d(float(s), float(t), int(o)) for s, t, o in
                      zip(scales, rng.uniform(0.0, 1.0, size=n), rng.choice([1, 1, -1], size=n)))
         w = WIFS(maps=maps, probs=tuple(np.full(n, 1.0 / n)))
-        sub = search_separated_sub_ifs(w, n_max=2)
+        sub, _ = search_separated_sub_ifs(w, n_max=2)
         for level in range(1, sub.level):
             assert _largest_strict_separated(_level_images(w, level)[1]) <= 1, seed
         best = _largest_strict_separated(_level_images(w, sub.level)[1])
@@ -219,7 +219,7 @@ def test_search_keeps_a_maximal_selection_in_2d():
             s = float(rng.uniform(0.3, 0.7))
             maps.append(Similitude(s, eye, (1.0 - s) * np.array(corner, float)))
         w = WIFS(maps=tuple(maps), probs=(0.25,) * 4)
-        sub = search_separated_sub_ifs(w, n_max=2)
+        sub, _ = search_separated_sub_ifs(w, n_max=2)
         words, images = _level_images(w, sub.level)
         kept = [words.index(word) for word in sub.selection]
         left_out = [k for k in range(len(words)) if k not in kept]
@@ -233,7 +233,7 @@ def test_search_finds_level2_pairs_among_25_words():
     scales, offsets = (0.45, 0.41, 0.68, 0.51, 0.59), (0.16, 0.26, 0.28, 0.13, 0.19)
     w = WIFS(maps=tuple(similitude_1d(s, t) for s, t in zip(scales, offsets)),
              probs=(0.116, 0.221, 0.186, 0.234, 0.243))
-    sub = search_separated_sub_ifs(w, n_max=2)
+    sub, _ = search_separated_sub_ifs(w, n_max=2)
     assert sub is not None
     assert sub.level == 2 and len(sub.selection) >= 2
     assert check_ssc(list(sub.maps), attractor_hull(w)).status is Status.SATISFIED
@@ -243,16 +243,16 @@ def test_search_falls_back_to_singleton_when_pairs_overlap():
     # images [0, 0.9] and [0.05, 0.95] of the hull intersect, so no pair
     # can be certified -- but a single branch is vacuously separated
     w = WIFS(maps=(similitude_1d(0.9, 0.0), similitude_1d(0.9, 0.05)), probs=(0.5, 0.5))
-    sub = search_separated_sub_ifs(w, n_max=1)
+    sub, _ = search_separated_sub_ifs(w, n_max=1)
     assert sub is not None
     assert len(sub.selection) == 1
 
 
 def test_search_result_is_certified(t02):
     w, hull = t02
-    sub = search_separated_sub_ifs(w, n_max=2)
-    rep = check_ssc(list(sub.maps), hull)
+    sub, rep = search_separated_sub_ifs(w, n_max=2)
     assert rep.status is Status.SATISFIED
+    assert rep.min_gap == check_ssc(list(sub.maps), hull).min_gap
     # certified gap: sampled points from distinct branches stay that far apart
     pts = {}
     rng = np.random.default_rng(3)
