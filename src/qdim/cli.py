@@ -45,7 +45,7 @@ from .measures import (
     tv,
 )
 from .quantize import _ladder, antichain_codebook, chaos_game, fit_dimension, optimize_codebook
-from .separation import check_osc_sufficient, check_ssc, search_separated_sub_ifs
+from .separation import Status, check_osc_sufficient, check_ssc, search_separated_sub_ifs
 
 __all__ = ["main"]
 
@@ -196,10 +196,10 @@ def _cmd_check_sep(args) -> int:
         "members": labels,
         "hull": _box_to_obj(hull),
     }
-    if report.status.value == "Satisfied" and isinstance(report.witness, tuple):
+    if report.status is Status.SATISFIED:
         obj["images"] = [_box_to_obj(b) for b in report.witness]
-    elif isinstance(report.witness, tuple):
-        obj["overlapping_pair"] = [labels[report.witness[0]], labels[report.witness[1]]]
+    else:
+        obj["overlapping_pair"] = [labels[k] for k in report.witness]
     _emit_json(obj, args.out)
     return 0
 
@@ -212,6 +212,8 @@ def _cmd_subifs_search(args) -> int:
         found = search_separated_sub_ifs(w, suffix=suffix, n_max=args.n_max)
     except QdimError as exc:
         raise _Invalid("suffix", str(exc)) from exc
+    except ValueError as exc:  # a level past the search's word cap
+        raise _Invalid("n-max", str(exc)) from exc
     if found is None:
         _emit_json({"found": False, "n_max": args.n_max, "suffix": str(suffix)}, args.out)
         return 0
@@ -242,8 +244,8 @@ def _cmd_quantize(args) -> int:
     _require_positive("n", args.n)
     _check_sampling(args)
     samples = chaos_game(w, args.samples, seed=args.seed, burn_in=args.burn_in)
-    book = optimize_codebook(samples, args.n, args.r,
-                             start=antichain_codebook(w, args.n, args.r))
+    start = antichain_codebook(w, args.n, args.r) if args.n < args.samples else None
+    book = optimize_codebook(samples, args.n, args.r, start=start)
     _emit_json({
         "n": args.n,
         "r": args.r,

@@ -246,26 +246,19 @@ def _line_order(x: np.ndarray) -> np.ndarray | None:
     return order
 
 
-def _assign(x: np.ndarray, code: np.ndarray, order: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and cell indices of each sample to its nearest code point.
-
-    On a line the samples' :func:`_line_order` (``order``, computed here
-    when not given) serves :func:`_assign_line`; R^m takes a KD-tree query.
-    """
-    if x.shape[1] == 1:
-        if order is None:
-            order = _line_order(x)
-        return _assign_line(x[:, 0], x[order, 0], order, code)
-    from scipy.spatial import cKDTree
-
-    d, idx = cKDTree(code).query(x, k=1)
-    return d, idx
+def _assigner(x: np.ndarray, xt: np.ndarray, order: np.ndarray | None):
+    """``code -> (d, idx)``, the nearest-center distances and cells of samples
+    ``x`` (``xt`` its (m, k) transpose): :func:`_assign_line` on a line, where
+    ``order`` is their :func:`_line_order`, else a :class:`_BoundedAssign`."""
+    if order is None:
+        return _BoundedAssign(x, xt)
+    return functools.partial(_assign_line, xt[0], xt[0, order], order)
 
 
 def _assign_line(x: np.ndarray, xs: np.ndarray, order: np.ndarray, code: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_assign` for samples ``x`` on a line, sorted as ``xs = x[order]``.
+    """Distances and cell indices of samples ``x`` on a line to their nearest
+    code point, the samples sorted as ``xs = x[order]``.
 
     The n - 1 code midpoints cut the sorted samples into the cells: a sample
     goes to the first code point whose upper midpoint is not below it, as
@@ -425,8 +418,8 @@ def _recenter(xt: np.ndarray, idx: np.ndarray, loss: np.ndarray, code: np.ndarra
     ``loss`` holds each sample's :func:`_loss` at its current center,
     ``code[idx]``.
     ``order``, if given, is a stable sort of the samples under which every
-    cell is one contiguous run, as the 1-d cells of :func:`_assign` are
-    under :func:`_line_order`.  ``changed``, if given at r = 0, masks the
+    cell is one contiguous run, as the 1-d cells of :func:`_assign_line`
+    are under :func:`_line_order`.  ``changed``, if given at r = 0, masks the
     cells whose sample set changed since the recentering that produced
     ``code``: every other cell's center won that search over the same
     samples, with the same value, so no candidate can beat it and only the
@@ -697,26 +690,21 @@ def _reseed_empty(x: np.ndarray, code: np.ndarray, d: np.ndarray, idx: np.ndarra
 
 
 def _lloyd(x: np.ndarray, code: np.ndarray, r: float, order: np.ndarray | None = None
-           ) -> tuple[np.ndarray, float, list[float]]:
+           ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Run Lloyd iterations to (near) convergence, or for ``MAX_ROUNDS``
     rounds.
 
     ``order`` is the samples' :func:`_line_order`, computed here when not
-    given; on a line the sorted sample values are gathered once per run.
-    R^m assigns through :class:`_BoundedAssign`.  At r = 0 each recentering
-    searches only the cells whose sample set changed since the previous one.
-    Returns the last codebook measured, its distortion, and the per-round
-    distortion history (non-increasing up to float dust).
+    given; every round assigns through one :func:`_assigner`.  At r = 0 each
+    recentering searches only the cells whose sample set changed since the
+    previous one.  Returns the last codebook measured, its assignment (the
+    run ends right after making it, re-seeds included), its distortion, and
+    the per-round distortion history (non-increasing up to float dust).
     """
     history: list[float] = []
     prev = math.inf
     xt = np.ascontiguousarray(x.T)
-    if order is None:
-        order = _line_order(x)
-    if order is None:
-        assign = _BoundedAssign(x, xt)
-    else:
-        assign = functools.partial(_assign_line, xt[0], xt[0, order], order)
+    assign = _assigner(x, xt, _line_order(x) if order is None else order)
     before = None
     while True:
         d, idx = assign(code)
@@ -739,7 +727,7 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, order: np.ndarray | None =
         # own; r = 0 keeps each sample's cell, in the smallest integer type.
         before = idx.astype(np.min_scalar_type(code.shape[0] - 1)) if r == 0.0 else None
         del loss, idx
-    return code, dist, history
+    return code, idx, dist, history
 
 
 def _changed_cells(before: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -788,7 +776,7 @@ def _split_tree(samples: SampleSet, r: float, sizes) -> dict[int, np.ndarray]:
     found first (Linde, Buzo & Gray's splitting design, IEEE Trans. Comm.
     28, 1980).  A split is a two-center r = 2 :func:`_lloyd` run on the
     leaf's samples, started at its center +- one standard deviation along
-    their principal axis; its two centers and cells are the new leaves.
+    their principal axis; its two centers and final cells are the new leaves.
     After j splits the j + 1 leaf centers are the codebook of size j + 1.
     A leaf whose split leaves a cell empty (all its samples are equal)
     never splits; once none can, the leaves repeat, and Lloyd re-seeds the
@@ -809,8 +797,7 @@ def _split_tree(samples: SampleSet, r: float, sizes) -> dict[int, np.ndarray]:
         var, axes = np.linalg.eigh(dev.T @ dev / cell.size)
         step = math.sqrt(max(var[-1], 0.0)) * axes[:, -1]
         order = None if line is None else np.arange(cell.size)
-        code, _, _ = _lloyd(xc, np.stack([center - step, center + step]), 2.0, order=order)
-        _, idx = _assign(xc, code, order)
+        code, idx, _, _ = _lloyd(xc, np.stack([center - step, center + step]), 2.0, order=order)
         if idx.min() < idx.max():
             kid_loss = _cell_objective(xc.T, idx, code, r, 2)
             kids = [(cell[idx == h], code[h], float(kid_loss[h])) for h in (0, 1)]
@@ -898,7 +885,7 @@ def optimize_codebook(samples: SampleSet, n: int, r: float,
 
     if start is None:
         start = _split_tree(samples, r, [n])[n]
-    code, dist, _ = _lloyd(x, np.array(start, dtype=float), r, order=samples.line_order)
+    code, _, dist, _ = _lloyd(x, np.array(start, dtype=float), r, order=samples.line_order)
     return Codebook(points=code[np.lexsort(code.T[::-1])], r=r, distortion=dist)
 
 
@@ -912,7 +899,7 @@ def estimate_vnr(samples: SampleSet, codebook, r: float) -> float:
     code = codebook.points if isinstance(codebook, Codebook) else np.asarray(codebook, dtype=float)
     if code.ndim == 1:
         code = code[:, None]
-    d, _ = _assign(samples.points, code, samples.line_order)
+    d, _ = _assigner(samples.points, samples.points.T.copy(), samples.line_order)(code)
     loss = np.mean(_loss(d, r))
     return float(loss if r > 0.0 else np.exp(loss))
 

@@ -40,6 +40,9 @@ GUARD = 1e-12
 #: Slack for the "K is invariant" precondition.
 _INVARIANCE_SLACK = 1e-9
 
+#: Most words a sub-IFS search level may hold (levels grow by the map count).
+MAX_SEARCH_WORDS = 4096
+
 
 class Condition(Enum):
     SSC = "SSC"
@@ -58,7 +61,7 @@ class SeparationReport:
 
     ``witness`` is the tuple of verified image boxes when the condition is
     satisfied, the offending pair of map indices (0-based) when violated,
-    and the first overlapping pair (if any) as a diagnostic when unknown.
+    and the first guard-close pair as a diagnostic when unknown.
     ``min_gap`` is the smallest pairwise Euclidean gap between image boxes
     (infinity for a single map); it is positive exactly when the hull-based
     strong-separation certificate holds.
@@ -66,7 +69,7 @@ class SeparationReport:
 
     condition: Condition
     status: Status
-    witness: object
+    witness: tuple
     min_gap: float
 
 
@@ -184,11 +187,14 @@ def search_separated_sub_ifs(wifs: WIFS, suffix: Word = Word(), n_max: int = 2
     returned only when no level up to ``n_max`` keeps more, and ``None``
     when no level keeps any word.  Each selection is re-verified through
     :func:`check_ssc` and returned with that report (its ``min_gap`` is the
-    certified gap); a selection that fails it raises ``RuntimeError``.
+    certified gap); a selection that fails it raises ``RuntimeError``, and
+    reaching a level of more than :data:`MAX_SEARCH_WORDS` words ``ValueError``.
     """
     hull = attractor_hull(wifs)
     fallback = None
     for level in range(1, n_max + 1):
+        if wifs.n_maps ** level > MAX_SEARCH_WORDS:
+            raise ValueError(f"level {level} has more than {MAX_SEARCH_WORDS} words")
         words = _all_words(wifs.n_maps, level)
         images = [compose_word(wifs, w + suffix).box_image(hull) for w in words]
         kept: list[int] = []

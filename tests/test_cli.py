@@ -21,6 +21,7 @@ from qdim.cli import main
 from qdim.ifs import WIFS, Similitude, similitude_1d, wifs_to_json_obj
 from qdim.instances import cantor, quarter_maps, uniform_halves
 from qdim.measures import DiscreteMeasure, measure_to_csv
+from qdim.quantize import chaos_game
 
 SEPARATED_WORDS = "11,21,31"  # level-2 family glued by suffix 1
 
@@ -252,6 +253,24 @@ def test_subifs_search_refuses_a_suffix_symbol_out_of_range(wifs_files, capsys):
     assert "error: suffix" in capsys.readouterr().err
 
 
+def test_subifs_search_refuses_a_level_past_the_word_cap(tmp_path, capsys):
+    # Eight coincident maps keep one word per level, so the search goes on
+    # until level 5 (32768 words) passes the cap.
+    w = WIFS(maps=(similitude_1d(0.5, 0.0),) * 8, probs=(0.125,) * 8)
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(wifs_to_json_obj(w)))
+    assert main(["subifs-search", "--wifs", str(path), "--n-max", "40"]) == 2
+    assert capsys.readouterr().err.startswith("error: n-max:")
+
+
+def test_subifs_search_answering_early_ignores_a_large_n_max(wifs_files, capsys):
+    outs = []
+    for n_max in ("2", "40"):
+        assert main(["subifs-search", "--wifs", wifs_files["t02"], "--n-max", n_max]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_subifs_search_has_no_budget_option(wifs_files):
     with pytest.raises(SystemExit) as exc:
         main(["subifs-search", "--wifs", wifs_files["t02"], "--budget", "5"])
@@ -433,6 +452,22 @@ def test_estimate_degenerate_system_is_runtime_error(wifs_files, capsys):
     assert main(["estimate", "--wifs", wifs_files["single"], "--r", "2",
                  "--n-list", "2,4", "--samples", "500", "--seed", "3"]) == 1
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["0", "2"])
+def test_quantize_past_the_sample_count_builds_no_start(wifs_files, monkeypatch, capsys, r):
+    # n >= samples returns the distinct samples, which read no start codebook
+    def refuse(*args, **kwargs):
+        raise AssertionError("antichain_codebook built a start that is never read")
+
+    monkeypatch.setattr(qdim.cli, "antichain_codebook", refuse)
+    distinct = np.unique(chaos_game(cantor(), 1000, seed=5).points, axis=0)
+    for n in ("1000", "100000"):
+        assert main(["quantize", "--wifs", wifs_files["cantor"], "--r", r, "--samples", "1000",
+                     "--seed", "5", "--n", n]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["points"] == distinct.tolist()
+        assert obj["distortion"] == (0.0 if r == "2" else None)
 
 
 def test_quantize_one_map_system_is_runtime_error(wifs_files, capsys):

@@ -7,6 +7,7 @@ codebook is known.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import qdim.quantize as quantize
 from qdim.errors import DegenerateFit
 from qdim.ifs import WIFS, Similitude, Word, attractor_hull, compose_word, similitude_1d
 from qdim.instances import cantor, quarter_maps, random_ssc_wifs, uniform_halves
+import scipy.spatial
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
@@ -28,10 +30,10 @@ from qdim.quantize import (
     EPS_LOG,
     Codebook,
     SampleSet,
-    _assign,
     _BoundedAssign,
     _cell_objective,
     _damped_newton,
+    _line_order,
     _lloyd,
     _loss,
     _recenter,
@@ -43,6 +45,13 @@ from qdim.quantize import (
     fit_dimension_from_samples,
     optimize_codebook,
 )
+
+
+def _assign(x, code, order=None):
+    """Distances and cells of samples ``x`` at ``code``, as a Lloyd run's
+    first assignment gives them."""
+    order = _line_order(x) if order is None else order
+    return quantize._assigner(x, np.ascontiguousarray(x.T), order)(code)
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +246,7 @@ def test_sampleset_flat_points_become_column():
 def test_lloyd_history_never_increases(cantor_samples, r):
     rng = np.random.default_rng(23)
     init = cantor_samples.points[rng.choice(cantor_samples.count, size=6, replace=False)]
-    _, _, history = _lloyd(cantor_samples.points, init, r)
+    _, _, _, history = _lloyd(cantor_samples.points, init, r)
     diffs = np.diff(history)
     assert np.all(diffs <= 1e-12), f"history increased by {diffs.max()}"
 
@@ -247,7 +256,7 @@ def test_lloyd_history_never_increases_2d(r):
     rng = np.random.default_rng(29)
     pts = rng.uniform(size=(1500, 2))
     init = pts[rng.choice(1500, size=5, replace=False)]
-    _, _, history = _lloyd(pts, init, r)
+    _, _, _, history = _lloyd(pts, init, r)
     assert np.all(np.diff(history) <= 1e-12)
 
 
@@ -274,7 +283,7 @@ def test_fractional_orders_no_worse_than_scipy_kernel(cantor_samples, fixture, r
         rng = np.random.default_rng(29)
         pts = rng.uniform(size=(1500, 2))
         init = pts[rng.choice(1500, size=5, replace=False)]
-    _, dist, _ = _lloyd(pts, init, r)
+    _, _, dist, _ = _lloyd(pts, init, r)
     assert dist <= _SCIPY_KERNEL_DISTORTIONS[fixture, r]
 
 
@@ -505,13 +514,14 @@ def test_log_lloyd_changed_cells_match_full_rescan(fixture, monkeypatch):
                 init = x[np.random.default_rng(seed).choice(x.shape[0], size=n, replace=False)]
                 out.append(_lloyd(x, init, 0.0))
         runs.append(out)
-    for (code, dist, hist), (want_code, want_dist, want_hist) in zip(*runs):
+    for (code, idx, dist, hist), (want_code, want_idx, want_dist, want_hist) in zip(*runs):
         np.testing.assert_array_equal(code, want_code)
+        np.testing.assert_array_equal(idx, want_idx)
         assert dist == want_dist and hist == want_hist
 
 
-def test_log_lloyd_fixtures_reseed_after_the_first_round(monkeypatch):
-    # the changed-cell test above must see reseeds in later rounds
+def _record_reseeds(monkeypatch):
+    """Patch ``_reseed_empty`` to log, per call, whether it re-seeded."""
     reseeded = []
     reseed = quantize._reseed_empty
 
@@ -521,10 +531,51 @@ def test_log_lloyd_fixtures_reseed_after_the_first_round(monkeypatch):
         return out
 
     monkeypatch.setattr(quantize, "_reseed_empty", recording)
+    return reseeded
+
+
+def test_log_lloyd_fixtures_reseed_after_the_first_round(monkeypatch):
+    # the changed-cell test above must see reseeds in later rounds
+    reseeded = _record_reseeds(monkeypatch)
     x = _line_fixture("grid")
     init = x[np.random.default_rng(0).choice(x.shape[0], size=40, replace=False)]
     _lloyd(x, init, 0.0)
     assert any(reseeded[1:])
+
+
+def _fresh_cells(x, code):
+    """Each sample's nearest center, found without the Lloyd machinery."""
+    if x.shape[1] == 1:
+        return _assign_by_midpoint_search(x, code)[1]
+    return cKDTree(code).query(x, k=1)[1]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("m", [1, 2])
+def test_lloyd_returns_the_assignment_of_its_codebook(m, r):
+    x = _line_fixture("cantor") if m == 1 else np.random.default_rng(29).uniform(size=(1500, 2))
+    init = x[np.random.default_rng(23).choice(x.shape[0], size=6, replace=False)]
+    code, idx, _, _ = _lloyd(x, init, r)
+    np.testing.assert_array_equal(idx, _fresh_cells(x, code))
+
+
+@pytest.mark.parametrize("r", [0.0, 2.0])
+@pytest.mark.parametrize("m", [1, 2])
+def test_lloyd_assignment_holds_through_reseeds_and_the_round_cap(m, r, monkeypatch):
+    # A duplicate center leaves a cell empty, so the first round re-seeds and
+    # assigns again; a cap of one round ends the run right there.  The grids
+    # put samples on code midpoints and on equidistant corners.
+    reseeded = _record_reseeds(monkeypatch)
+    x = _line_fixture("grid") if m == 1 else \
+        np.random.default_rng(47).integers(0, 16, size=(3000, 2)) / 8.0
+    init = x[np.random.default_rng(0).choice(x.shape[0], size=40, replace=False)]
+    init[1] = init[0]
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(quantize, "MAX_ROUNDS", cap)
+        reseeded.clear()
+        code, idx, _, history = _lloyd(x, init, r)
+        assert len(history) == cap and reseeded[0]
+        np.testing.assert_array_equal(idx, _fresh_cells(x, code))
 
 
 @st.composite
@@ -648,8 +699,9 @@ def test_assignment_handles_duplicate_centers():
 
 
 def test_estimate_vnr_matches_codebook_distortion(cantor_samples):
-    book = optimize_codebook(cantor_samples, 6, 2.0)
-    assert estimate_vnr(cantor_samples, book, 2.0) == book.distortion
+    for samples in (cantor_samples, chaos_game(_dust(), 5000, seed=17)):
+        book = optimize_codebook(samples, 6, 2.0)
+        assert estimate_vnr(samples, book, 2.0) == book.distortion
 
 
 def test_estimate_vnr_log_floor():
@@ -797,7 +849,7 @@ def test_antichain_codebook_of_one_map_cannot_split():
 def test_start_codebook_runs_lloyd_once(cantor_samples):
     start = antichain_codebook(cantor(), 8, 2.0)
     book = optimize_codebook(cantor_samples, 8, 2.0, start=start)
-    code, dist, _ = _lloyd(cantor_samples.points, start, 2.0)
+    code, _, dist, _ = _lloyd(cantor_samples.points, start, 2.0)
     assert book.distortion == dist
     np.testing.assert_array_equal(book.points, np.sort(code, axis=0))
     with pytest.raises(ValueError):
@@ -865,9 +917,38 @@ def test_codebook_without_start_is_one_lloyd_run_from_the_split_tree(w, r):
         book = optimize_codebook(s, n, r)
         leaves = _split_tree(s, r, [n])[n]
         assert leaves.shape == (n, w.dim)
-        code, dist, _ = _lloyd(s.points, leaves, r)
+        code, _, dist, _ = _lloyd(s.points, leaves, r)
         assert book.distortion == dist
         np.testing.assert_array_equal(book.points, code[np.lexsort(code.T[::-1])])
+
+
+@pytest.mark.parametrize("w", [cantor(), _dust()], ids=["line", "plane"])
+def test_split_tree_assigns_only_inside_lloyd(w, monkeypatch):
+    # Each split keeps the cells its Lloyd run ended on, so every
+    # nearest-center search of the tree (the midpoint cuts on a line, the
+    # KD-tree queries in the plane) runs inside a _lloyd frame.
+    inside = []
+
+    def record():
+        f = sys._getframe(2)
+        while f is not None and f.f_code is not _lloyd.__code__:
+            f = f.f_back
+        inside.append(f is not None)
+
+    def assign_line(*args):
+        record()
+        return assign(*args)
+
+    class Tree(cKDTree):
+        def query(self, *args, **kwargs):
+            record()
+            return super().query(*args, **kwargs)
+
+    assign = quantize._assign_line
+    monkeypatch.setattr(quantize, "_assign_line", assign_line)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
+    _split_tree(chaos_game(w, 3000, seed=71), 0.0, [16])
+    assert inside and all(inside)
 
 
 def test_split_tree_rungs_are_prefixes_of_one_tree():

@@ -248,6 +248,19 @@ def test_search_falls_back_to_singleton_when_pairs_overlap():
     assert len(sub.selection) == 1
 
 
+def test_search_refuses_the_first_level_past_the_word_cap(t02, monkeypatch):
+    # Refused at the level, not up front: t02 answers at level 1 whatever
+    # n_max is, while coincident maps search on until a level passes the cap.
+    monkeypatch.setattr(separation, "MAX_SEARCH_WORDS", 64)
+    w, _ = t02
+    sub, _ = search_separated_sub_ifs(w, n_max=40)
+    assert sub.level == 1
+    coincident = WIFS(maps=(similitude_1d(0.5, 0.0),) * 4, probs=(0.25,) * 4)
+    assert search_separated_sub_ifs(coincident, n_max=3) is not None
+    with pytest.raises(ValueError, match="level 4 has more than 64 words"):
+        search_separated_sub_ifs(coincident, n_max=4)
+
+
 def test_search_result_is_certified(t02):
     w, hull = t02
     sub, rep = search_separated_sub_ifs(w, n_max=2)
