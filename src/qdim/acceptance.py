@@ -34,7 +34,7 @@ from .instances import (
 )
 from .measures import DiscreteMeasure, box_mass, dl, tv
 from .quantize import SampleSet, chaos_game, fit_dimension, fit_dimension_from_samples
-from .separation import SeparationReport, Status, check_osc_sufficient, check_ssc
+from .separation import SeparationReport, Status, check_osc_sufficient, check_ssc, search_separated_sub_ifs
 from .dimension import d0_dimension, kappa_curve, solve_kappa
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "format_result",
@@ -166,12 +166,21 @@ def _crit_empirical_r2() -> tuple[bool, str]:
                 f"uniform D2_hat = {fit_u.estimate:.4f} (err {err_u:.4f}), tol 0.08")
 
 
-def _crit_sub_domination() -> tuple[bool, str]:
-    """Single-branch sub-system mass never exceeds parent mass + 3 sigma."""
-    parent = cantor()
-    sub = build_sub_wifs(parent, level=1, suffix=Word(()), selection=[Word((1,))]).to_wifs()
-    s_parent = chaos_game(parent, _SAMPLES, seed=SUITE_SEED + 6)
-    s_sub = chaos_game(sub, _SAMPLES, seed=SUITE_SEED + 61)
+def _sub_domination(parent: WIFS, renormalised: bool = False) -> tuple[int, float]:
+    """Violations of mu(B) >= sum_{w in S} p_w mu(f_w^-1 B) over 200 random
+    boxes B, and the worst margin.
+
+    S is the separated selection :func:`search_separated_sub_ifs` finds and
+    p_w the parent's word weight (the sub-system's renormalised weight when
+    ``renormalised``).  Both sides are read off the parent's own samples x:
+    mu(f_w^-1 B) is the share of f_w(x) in B.  A box counts as a violation
+    when the right side passes the left by more than 3 sigma, sigma being
+    the sum of the two sides' binomial standard deviations.
+    """
+    sub, _ = search_separated_sub_ifs(parent)
+    p_w = sub.probs if renormalised else np.array([(w + sub.suffix).weight(parent) for w in sub.selection])
+    points = chaos_game(parent, _SAMPLES, seed=SUITE_SEED + 6).points
+    images = [f.apply(points) for f in sub.maps]
     rng = np.random.default_rng(SUITE_SEED + 62)
     violations = 0
     worst = -math.inf
@@ -179,13 +188,19 @@ def _crit_sub_domination() -> tuple[bool, str]:
         lo = rng.uniform(0.0, 1.0)
         hi = rng.uniform(lo, 1.0)
         box = Box(np.array([lo]), np.array([hi]))
-        p = box_mass(s_parent, box)
-        pn = box_mass(s_sub, box)
-        sigma = math.sqrt(p * (1.0 - p) / _SAMPLES)
-        margin = pn - (p + 3.0 * sigma)
+        p = box_mass(points, box)
+        q = np.array([box_mass(img, box) for img in images])
+        sigma = math.sqrt(p * (1.0 - p) / _SAMPLES) + float(p_w @ np.sqrt(q * (1.0 - q) / _SAMPLES))
+        margin = float(p_w @ q) - (p + 3.0 * sigma)
         worst = max(worst, margin)
         if margin > 0.0:
             violations += 1
+    return violations, worst
+
+
+def _crit_sub_domination() -> tuple[bool, str]:
+    """The Cantor measure dominates its separated sub-IFS's word-weighted images."""
+    violations, worst = _sub_domination(cantor())
     return violations == 0, f"{violations}/200 violations, worst margin {worst:.3e}"
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["Box"]
+__all__ = ["Box", "box_gaps"]
 
 
 @dataclass(frozen=True)
@@ -62,5 +62,12 @@ class Box:
 
     def gap_to(self, other: "Box") -> float:
         """Euclidean distance between the two closed boxes (0 when they meet)."""
-        d = np.maximum(0.0, np.maximum(other.lo - self.hi, self.lo - other.hi))
-        return float(np.linalg.norm(d))
+        return float(box_gaps(self.lo, self.hi, other.lo, other.hi))
+
+
+def box_gaps(lo: np.ndarray, hi: np.ndarray, lo2: np.ndarray, hi2: np.ndarray) -> np.ndarray:
+    """Euclidean gaps between boxes [lo, hi] and [lo2, hi2], broadcast over
+    the leading axes.  The squared sum is a stacked ``d @ d``, the dot that
+    ``np.linalg.norm`` takes, so each gap equals one pair's bit for bit."""
+    d = np.maximum(0.0, np.maximum(lo2 - hi, lo - hi2))
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])

@@ -44,6 +44,8 @@ __all__ = [
     "Word",
     "SubWIFS",
     "compose_word",
+    "compose_words",
+    "box_images",
     "build_sub_wifs",
     "attractor_hull",
     "hutchinson_push",
@@ -93,13 +95,6 @@ class Similitude:
         object.__setattr__(self, "isometry", iso)
         object.__setattr__(self, "translation", tr)
 
-    # ---- construction helpers -------------------------------------------
-
-    @staticmethod
-    def identity(dim: int) -> "Similitude":
-        """Neutral element for composition (scale 1, not WIFS-admissible)."""
-        return Similitude(1.0, np.eye(dim), np.zeros(dim))
-
     # ---- behaviour -------------------------------------------------------
 
     @property
@@ -111,26 +106,10 @@ class Similitude:
         p = np.asarray(points, dtype=float)
         return p @ (self.scale * self.isometry.T) + self.translation
 
-    def compose(self, other: "Similitude") -> "Similitude":
-        """``self o other`` (other acts first)."""
-        if self.dim != other.dim:
-            raise DimensionError(f"cannot compose maps in R^{self.dim} and R^{other.dim}")
-        return Similitude(
-            self.scale * other.scale,
-            self.isometry @ other.isometry,
-            self.scale * self.isometry @ other.translation + self.translation,
-        )
-
     def box_image(self, box: Box) -> Box:
-        """Tight axis-aligned enclosure of the image of an axis-aligned box.
-
-        Exact when the isometry is a signed permutation (in particular
-        always in 1-d); otherwise the smallest axis-aligned box around the
-        rotated image.
-        """
-        c = self.apply(box.center)
-        h = self.scale * (np.abs(self.isometry) @ box.halfwidth)
-        return Box(c - h, c + h)
+        """Axis-aligned enclosure of the image of ``box`` (see :func:`box_images`)."""
+        lo, hi = box_images(np.array([self.scale]), self.isometry[None], self.translation[None], box)
+        return Box(lo[0], hi[0])
 
     @property
     def is_orientation_preserving(self) -> bool:
@@ -248,7 +227,7 @@ class Word:
     def _check_against(self, wifs: WIFS) -> None:
         for s in self.symbols:
             if s > wifs.n_maps:
-                raise InvalidWord(f"symbol {s} exceeds the {wifs.n_maps} available maps")
+                raise InvalidWord(f"symbol {s} lies outside the maps 1..{wifs.n_maps}")
 
     def weight(self, wifs: WIFS) -> float:
         """Product of the probabilities along the word (1.0 for the empty word)."""
@@ -259,17 +238,40 @@ class Word:
         return out
 
 
-def compose_word(wifs: WIFS, word: Word) -> Similitude:
-    """Compose the maps along a word, rightmost symbol acting first.
+def compose_words(wifs: WIFS, symbols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scales (k,), isometries (k, m, m) and translations (k, m) of the maps
+    along the rows of a (k, L) matrix of 1-based symbols, rightmost acting
+    first.  The fold runs from the identity one column at a time in the
+    one-word order ``f o g = (s s', R R', s R t' + t)``, so each row equals
+    that fold bit for bit.  Raises InvalidWord on a symbol outside 1..N."""
+    symbols = np.asarray(symbols, dtype=int)
+    bad = symbols[(symbols < 1) | (symbols > wifs.n_maps)]
+    if bad.size:
+        raise InvalidWord(f"symbol {bad[0]} lies outside the maps 1..{wifs.n_maps}")
+    k, m = symbols.shape[0], wifs.dim
+    scales, isos = wifs.scales, np.array([f.isometry for f in wifs.maps])
+    trs = np.array([f.translation for f in wifs.maps])
+    scale, lin, tr = np.ones(k), np.tile(np.eye(m), (k, 1, 1)), np.zeros((k, m))
+    for col in symbols.T - 1:
+        tr = ((scale[:, None, None] * lin) @ trs[col][:, :, None])[:, :, 0] + tr
+        scale, lin = scale * scales[col], lin @ isos[col]
+    return scale, lin, tr
 
-    The empty word yields the identity (scale 1), which is a valid result
-    of composition but not a valid WIFS member.
-    """
-    word._check_against(wifs)
-    out = Similitude.identity(wifs.dim)
-    for s in word.symbols:
-        out = out.compose(wifs.maps[s - 1])
-    return out
+
+def box_images(scale: np.ndarray, lin: np.ndarray, tr: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Corners (k, m) of the axis-aligned enclosures of the images of ``box``
+    under the maps ``x -> scale R x + t``: exact when R is a signed
+    permutation (always in 1-d), else the smallest box around the image."""
+    c = box.center @ (scale[:, None, None] * lin.transpose(0, 2, 1)) + tr
+    h = scale[:, None] * (np.abs(lin) @ box.halfwidth)
+    return c - h, c + h
+
+
+def compose_word(wifs: WIFS, word: Word) -> Similitude:
+    """The map of a word (one row of :func:`compose_words`); the empty word
+    gives the identity (scale 1), a valid Similitude but no WIFS member."""
+    scale, lin, tr = compose_words(wifs, [word.symbols])
+    return Similitude(scale[0], lin[0], tr[0])
 
 
 # ---------------------------------------------------------------------------

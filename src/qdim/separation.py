@@ -15,15 +15,14 @@ issued when it survives the floating-point dust.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidInvariantSet
-from .geometry import Box
-from .ifs import SubWIFS, WIFS, Word, attractor_hull, build_sub_wifs, compose_word, Similitude
+from .geometry import Box, box_gaps
+from .ifs import SubWIFS, WIFS, Word, attractor_hull, box_images, build_sub_wifs, compose_words
 
 __all__ = [
     "Condition",
@@ -40,7 +39,7 @@ GUARD = 1e-12
 #: Slack for the "K is invariant" precondition.
 _INVARIANCE_SLACK = 1e-9
 
-#: Most words a sub-IFS search level may hold (levels grow by the map count).
+#: Most words a sub-IFS search level may hold; it bounds a level's arrays.
 MAX_SEARCH_WORDS = 4096
 
 
@@ -95,9 +94,9 @@ def _validate_family(maps, box: Box) -> tuple[list, list[Box]]:
 def _pairwise_gaps(images: list[Box]) -> tuple[float, list[tuple[int, int]]]:
     """Smallest pairwise Euclidean gap between the image boxes (infinite for
     one box) and the guard-close pairs i < j, in lexicographic order."""
-    gap = np.full((len(images), len(images)), np.inf)
-    for i, j in itertools.combinations(range(len(images)), 2):
-        gap[i, j] = gap[j, i] = images[i].gap_to(images[j])
+    lo, hi = np.array([b.lo for b in images]), np.array([b.hi for b in images])
+    gap = box_gaps(lo[:, None], hi[:, None], lo, hi)
+    np.fill_diagonal(gap, np.inf)
     return float(gap.min()), [(int(i), int(j)) for i, j in np.argwhere(np.triu(gap <= 2.0 * GUARD))]
 
 
@@ -165,10 +164,6 @@ def check_osc_sufficient(maps, box: Box) -> SeparationReport:
 # ---------------------------------------------------------------------------
 
 
-def _all_words(n_maps: int, length: int) -> list[Word]:
-    return [Word(p) for p in itertools.product(range(1, n_maps + 1), repeat=length)]
-
-
 def search_separated_sub_ifs(wifs: WIFS, suffix: Word = Word(), n_max: int = 2
                              ) -> tuple[SubWIFS, SeparationReport] | None:
     """Look for a strict level-n selection whose glued maps satisfy SSC.
@@ -185,27 +180,32 @@ def search_separated_sub_ifs(wifs: WIFS, suffix: Word = Word(), n_max: int = 2
     Returns the first level's selection of two or more words; a single word
     is vacuously separated (its gap is infinite), so the first one is
     returned only when no level up to ``n_max`` keeps more, and ``None``
-    when no level keeps any word.  Each selection is re-verified through
+    when no level keeps any word (at once for a one-map system, whose only
+    word per level is dropped for strictness).  Each selection is re-verified through
     :func:`check_ssc` and returned with that report (its ``min_gap`` is the
     certified gap); a selection that fails it raises ``RuntimeError``, and
     reaching a level of more than :data:`MAX_SEARCH_WORDS` words ``ValueError``.
     """
+    suffix._check_against(wifs)
+    if wifs.n_maps == 1:
+        return None
     hull = attractor_hull(wifs)
     fallback = None
     for level in range(1, n_max + 1):
         if wifs.n_maps ** level > MAX_SEARCH_WORDS:
             raise ValueError(f"level {level} has more than {MAX_SEARCH_WORDS} words")
-        words = _all_words(wifs.n_maps, level)
-        images = [compose_word(wifs, w + suffix).box_image(hull) for w in words]
+        words = np.indices((wifs.n_maps,) * level).reshape(level, -1).T + 1  # in word order
+        symbols = np.hstack([words, np.tile(np.array(suffix.symbols, dtype=int), (len(words), 1))])
+        lo, hi = box_images(*compose_words(wifs, symbols), hull)
         kept: list[int] = []
-        for k in sorted(range(len(words)), key=lambda k: float(images[k].hi[0])):
-            if all(images[k].gap_to(images[j]) > 2.0 * GUARD for j in kept):
-                kept.append(k)
+        for k in np.argsort(hi[:, 0], kind="stable"):
+            if np.all(box_gaps(lo[k], hi[k], lo[kept], hi[kept]) > 2.0 * GUARD):
+                kept.append(int(k))
         if len(kept) == len(words):
             kept.remove(len(words) - 1)  # strictness: drop the last word in word order
         if not kept or (len(kept) == 1 and fallback is not None):
             continue
-        sub = build_sub_wifs(wifs, level, suffix, [words[k] for k in kept])
+        sub = build_sub_wifs(wifs, level, suffix, [Word(words[k]) for k in kept])
         report = check_ssc(sub.maps, hull)
         if report.status is not Status.SATISFIED:
             raise RuntimeError(f"{sub!r} fails its SSC re-check")

@@ -1,0 +1,60 @@
+"""Per-word references for the batched word kernels.
+
+These are the one-word-at-a-time forms that ``qdim.ifs.compose_words``,
+``qdim.ifs.box_images``, ``qdim.geometry.box_gaps`` and the sub-IFS search
+replaced.  They stay here as oracles: the batched results must equal them
+bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+
+from qdim.ifs import Word, attractor_hull, build_sub_wifs
+from qdim.separation import GUARD, check_ssc
+
+
+def fold_word(wifs, symbols):
+    """(scale, isometry, translation) of the word's map, folded from the
+    identity one symbol at a time as ``f o g = (s s', R R', s R t' + t)``."""
+    scale, iso, tr = 1.0, np.eye(wifs.dim), np.zeros(wifs.dim)
+    for s in symbols:
+        f = wifs.maps[s - 1]
+        scale, iso, tr = scale * f.scale, iso @ f.isometry, scale * iso @ f.translation + tr
+    return scale, iso, tr
+
+
+def box_image(scale, iso, tr, box):
+    """Corners of the axis-aligned enclosure of one map's image of ``box``."""
+    c = box.center @ (scale * iso.T) + tr
+    h = scale * (np.abs(iso) @ box.halfwidth)
+    return c - h, c + h
+
+
+def gap(lo, hi, lo2, hi2):
+    """Euclidean gap between two boxes, as ``np.linalg.norm`` of the gap vector."""
+    return float(np.linalg.norm(np.maximum(0.0, np.maximum(lo2 - hi, lo - hi2))))
+
+
+def search(wifs, suffix=Word(), n_max=2):
+    """The earliest-end search with each word composed and imaged on its own
+    and tested against each kept word one pair at a time."""
+    hull = attractor_hull(wifs)
+    fallback = None
+    for level in range(1, n_max + 1):
+        words = [Word(p) for p in itertools.product(range(1, wifs.n_maps + 1), repeat=level)]
+        images = [box_image(*fold_word(wifs, (w + suffix).symbols), hull) for w in words]
+        kept = []
+        for k in sorted(range(len(words)), key=lambda k: float(images[k][1][0])):
+            if all(gap(*images[k], *images[j]) > 2.0 * GUARD for j in kept):
+                kept.append(k)
+        if len(kept) == len(words):
+            kept.remove(len(words) - 1)
+        if not kept or (len(kept) == 1 and fallback is not None):
+            continue
+        sub = build_sub_wifs(wifs, level, suffix, [words[k] for k in kept])
+        found = sub, check_ssc(sub.maps, hull)
+        if len(kept) > 1:
+            return found
+        fallback = found
+    return fallback

@@ -29,9 +29,9 @@ import math
 import numpy as np
 import pytest
 
-from qdim.acceptance import CRITERIA, _mixture_samples, format_result, run_criterion
+from qdim.acceptance import CRITERIA, _mixture_samples, _sub_domination, format_result, run_criterion
 from qdim.ifs import hutchinson_push
-from qdim.instances import cantor, four_fifths_shifted
+from qdim.instances import cantor, four_fifths_shifted, quarter_maps
 from qdim.measures import DiscreteMeasure
 from qdim.quantize import estimate_vnr
 
@@ -57,6 +57,15 @@ def test_criterion(cid):
     assert res.elapsed <= res.budget, (
         f"criterion {cid} exceeded its {res.budget:.0f}s budget: {res.elapsed:.1f}s"
     )
+
+
+@pytest.mark.parametrize("parent", [cantor, lambda: quarter_maps(0.2)], ids=["cantor", "quarter-0.2"])
+def test_sub_domination_fails_with_renormalised_weights(parent):
+    # Criterion 6 can fail: the renormalised sub-measure (S = {11, 12, 21} on
+    # the Cantor, {1, 3} on quarter_maps(0.2)) puts more mass on its words'
+    # cylinders than mu does, and about half the boxes catch it.
+    assert _sub_domination(parent())[0] == 0
+    assert _sub_domination(parent(), renormalised=True)[0] >= 90
 
 
 def _cylinder_images(wifs, x, level):

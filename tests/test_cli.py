@@ -248,9 +248,19 @@ def test_subifs_search_one_map_system_finds_nothing(wifs_files, capsys):
     assert json.loads(capsys.readouterr().out) == {"found": False, "n_max": 2, "suffix": ""}
 
 
+def test_subifs_search_one_map_system_answers_before_composing(wifs_files, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-map search composed a word")
+
+    monkeypatch.setattr(qdim.separation, "compose_words", refuse)
+    assert main(["subifs-search", "--wifs", wifs_files["single"], "--n-max", "1000000"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"found": False, "n_max": 1000000, "suffix": ""}
+
+
 def test_subifs_search_refuses_a_suffix_symbol_out_of_range(wifs_files, capsys):
-    assert main(["subifs-search", "--wifs", wifs_files["t02"], "--suffix", "9"]) == 2
-    assert "error: suffix" in capsys.readouterr().err
+    for system in ("t02", "single"):  # a one-map system checks its suffix too
+        assert main(["subifs-search", "--wifs", wifs_files[system], "--suffix", "9"]) == 2
+        assert "error: suffix" in capsys.readouterr().err
 
 
 def test_subifs_search_refuses_a_level_past_the_word_cap(tmp_path, capsys):
@@ -293,9 +303,9 @@ def test_subifs_search_solves_the_hull_once_and_certifies_once(wifs_files, monke
     assert calls == {"attractor_hull": 1, "check_ssc": 1}
 
 
-def test_every_benchmark_search_passes_its_check(monkeypatch, tmp_path, capsys):
-    # perfbench/checks.py reads min_gap as a number, so a singleton answer
-    # (min_gap null) would make a benchmark run malformed.
+def _benchmark_calls(monkeypatch, tmp_path, kind):
+    """The benchmark's exact calls of one kind at workload seeds 1-3, with
+    the benchmark's ``checks`` module that judges them."""
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.setattr(sys, "path", [str(perfbench)] + sys.path)
     modules = {}
@@ -304,22 +314,36 @@ def test_every_benchmark_search_passes_its_check(monkeypatch, tmp_path, capsys):
         modules[name] = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, name, modules[name])
         spec.loader.exec_module(modules[name])
-    workloads, checks = modules["workloads"], modules["checks"]
-    searched = 0
-    for make in workloads.WORKLOADS.values():
+    calls = []
+    for make in modules["workloads"].WORKLOADS.values():
         for seed in (1, 2, 3):
             workdir = tmp_path / f"{make.__name__}_{seed}"
             workdir.mkdir()
-            for call in make(seed, workdir).exact_calls:
-                if call.kind != "subifs-search":
-                    continue
-                rc = main(call.argv)
-                out = capsys.readouterr().out
-                assert rc == 0, call.label
-                assert len(json.loads(out)["selection"]) >= 2, call.label
-                assert checks.check(call, rc, out.encode()).failed == 0, call.label
-                searched += 1
-    assert searched == 18
+            calls += [call for call in make(seed, workdir).exact_calls if call.kind == kind]
+    return calls, modules["checks"]
+
+
+def test_every_benchmark_search_passes_its_check(monkeypatch, tmp_path, capsys):
+    # perfbench/checks.py reads min_gap as a number, so a singleton answer
+    # (min_gap null) would make a benchmark run malformed.
+    calls, checks = _benchmark_calls(monkeypatch, tmp_path, "subifs-search")
+    for call in calls:
+        rc = main(call.argv)
+        out = capsys.readouterr().out
+        assert rc == 0, call.label
+        assert len(json.loads(out)["selection"]) >= 2, call.label
+        assert checks.check(call, rc, out.encode()).failed == 0, call.label
+    assert len(calls) == 18
+
+
+def test_every_benchmark_separation_check_passes_its_check(monkeypatch, tmp_path, capsys):
+    calls, checks = _benchmark_calls(monkeypatch, tmp_path, "check-sep")
+    for call in calls:
+        rc = main(call.argv)
+        out = capsys.readouterr().out
+        assert rc == 0, call.label
+        assert checks.check(call, rc, out.encode()).failed == 0, call.label
+    assert len(calls) == 51
 
 
 # ---------------------------------------------------------------------------

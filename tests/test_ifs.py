@@ -19,8 +19,10 @@ from qdim.ifs import (
     Similitude,
     Word,
     attractor_hull,
+    box_images,
     build_sub_wifs,
     compose_word,
+    compose_words,
     hutchinson_push,
     similitude_1d,
     wifs_from_json_obj,
@@ -28,6 +30,8 @@ from qdim.ifs import (
 )
 from qdim.instances import cantor, four_fifths_shifted, quarter_maps
 from qdim.measures import dirac
+
+import per_word
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,7 @@ def test_orientation_flag():
 def test_compose_scales_multiply():
     f = similitude_1d(0.5, 1.0)
     g = similitude_1d(0.25, -1.0)
-    h = f.compose(g)  # f o g
+    h = compose_word(WIFS(maps=(f, g), probs=(0.5, 0.5)), Word.parse("12"))  # f o g
     assert h.scale == 0.125
     x = np.array([[0.3]])
     np.testing.assert_allclose(h.apply(x), f.apply(g.apply(x)))
@@ -133,6 +137,61 @@ def test_empty_word_is_identity():
     f = compose_word(cantor(), Word(()))
     assert f.scale == 1.0
     np.testing.assert_array_equal(f.apply(np.array([[0.37]])), [[0.37]])
+
+
+def _rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def _orthogonal_3d(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def _batch_systems():
+    rng = np.random.default_rng(2024)
+    yield "1-d reflections", WIFS(
+        maps=(similitude_1d(0.4, 0.1), similitude_1d(0.3, 0.9, -1), similitude_1d(0.35, 0.55, -1)),
+        probs=(0.2, 0.3, 0.5))
+    for name, isos in (("90-degree rotation", [np.eye(2), np.eye(2), _rotation(np.pi / 2), np.eye(2)]),
+                       ("0.7 rad rotation", [_rotation(0.7), np.eye(2), _rotation(-0.7)])):
+        maps = tuple(Similitude(0.3 + 0.05 * k, iso, rng.uniform(0.0, 1.0, size=2))
+                     for k, iso in enumerate(isos))
+        yield name, WIFS(maps=maps, probs=np.full(len(maps), 1.0 / len(maps)))
+    maps = tuple(Similitude(0.2 + 0.05 * k, _orthogonal_3d(rng), rng.uniform(-1.0, 1.0, size=3))
+                 for k in range(3))
+    yield "R^3 orthogonal maps", WIFS(maps=maps, probs=(0.2, 0.3, 0.5))
+
+
+@pytest.mark.parametrize("name", ["1-d reflections", "90-degree rotation", "0.7 rad rotation",
+                                  "R^3 orthogonal maps"])
+def test_compose_words_equals_the_per_word_fold_bit_for_bit(name):
+    # tobytes compares bit patterns, so signed zeros must match as well
+    w = dict(_batch_systems())[name]
+    hull = attractor_hull(w)
+    for suffix in ((), (2, 1)):
+        for level in range(4):
+            words = [p + suffix for p in itertools.product(range(1, w.n_maps + 1), repeat=level)]
+            scale, lin, tr = compose_words(w, np.array(words, dtype=int).reshape(len(words), -1))
+            lo, hi = box_images(scale, lin, tr, hull)
+            for k, word in enumerate(words):
+                ref = per_word.fold_word(w, word)
+                ref_lo, ref_hi = per_word.box_image(*ref, hull)
+                assert np.float64(ref[0]).tobytes() == scale[k].tobytes(), word
+                assert ref[1].tobytes() == lin[k].tobytes(), word
+                assert ref[2].tobytes() == tr[k].tobytes(), word
+                assert ref_lo.tobytes() == lo[k].tobytes() and ref_hi.tobytes() == hi[k].tobytes(), word
+                f = compose_word(w, Word(word))
+                assert f.isometry.tobytes() == lin[k].tobytes() and f.translation.tobytes() == tr[k].tobytes()
+                img = f.box_image(hull)
+                assert img.lo.tobytes() == lo[k].tobytes() and img.hi.tobytes() == hi[k].tobytes()
+
+
+def test_compose_words_refuses_symbols_outside_the_maps():
+    w = cantor()
+    for bad in ([[1, 3]], [[0, 1]], [[2], [-1]]):
+        with pytest.raises(InvalidWord):
+            compose_words(w, bad)
 
 
 def test_word_weight():

@@ -25,6 +25,8 @@ from qdim.separation import (
     search_separated_sub_ifs,
 )
 
+import per_word
+
 
 @pytest.fixture(scope="module")
 def t02():
@@ -277,3 +279,42 @@ def test_search_result_is_certified(t02):
         for j in range(i + 1, len(keys)):
             gap = np.min(np.abs(pts[keys[i]][:, None, 0] - pts[keys[j]][None, :, 0]))
             assert gap >= rep.min_gap - 1e-9
+
+
+def _assert_same_search(found, ref, label):
+    assert (found is None) == (ref is None), label
+    if found is None:
+        return
+    (sub, rep), (ref_sub, ref_rep) = found, ref
+    assert sub.level == ref_sub.level and sub.selection == ref_sub.selection, label
+    assert rep.min_gap == ref_rep.min_gap and sub.probs.tobytes() == ref_sub.probs.tobytes(), label
+    for f, g in zip(sub.maps, ref_sub.maps):
+        assert f.translation.tobytes() == g.translation.tobytes(), label
+
+
+def test_search_equals_the_per_word_search():
+    for seed in range(40):
+        rng = np.random.default_rng([16, seed])
+        m, n = 1 + seed % 2, 2 + seed % 3
+        maps = []
+        for _ in range(n):
+            if m == 1:
+                iso = np.array([[float(rng.choice([1.0, 1.0, -1.0]))]])
+            else:
+                a = float(rng.choice([0.0, np.pi / 2, 0.7]))
+                iso = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            maps.append(Similitude(float(rng.uniform(0.2, 0.65)), iso, rng.uniform(0.0, 1.0, size=m)))
+        w = WIFS(maps=tuple(maps), probs=rng.dirichlet(np.ones(n)))
+        for suffix in (Word(), Word.parse("21")):
+            _assert_same_search(search_separated_sub_ifs(w, suffix, n_max=3),
+                                per_word.search(w, suffix, n_max=3), (seed, str(suffix)))
+
+
+def test_search_equals_the_per_word_search_at_a_4096_word_level():
+    # Images of level-n words of two maps of ratio 0.942 can only be disjoint
+    # once 0.942**n < 1/2, which first holds at n = 12: 2**12 = 4096 words.
+    w = WIFS(maps=(similitude_1d(0.942, 0.0), similitude_1d(0.942, 0.05)), probs=(0.4, 0.6))
+    found = search_separated_sub_ifs(w, n_max=12)
+    assert found[0].level == 12 and 2 ** 12 == separation.MAX_SEARCH_WORDS
+    _assert_same_search(found, per_word.search(w, n_max=12), "level 12")
+
