@@ -30,7 +30,7 @@ from .dimension import _solve, d0_dimension
 from .dimension import solve_kappa  # noqa: F401  (perfbench's trace wraps qdim.cli.solve_kappa)
 from .errors import QdimError
 from .geometry import Box
-from .ifs import WIFS, Word, attractor_hull, compose_word, wifs_from_json_obj
+from .ifs import WIFS, Similitude, Word, attractor_hull, compose_words, wifs_from_json_obj
 from .measures import (
     DiscreteMeasure,
     box_mass,
@@ -177,16 +177,21 @@ def _cmd_check_sep(args) -> int:
     hull = attractor_hull(w)
     if args.words:
         words = [_parse_word("words", tok) for tok in args.words.split(",")]
+        maps = {}
         try:
-            family = [compose_word(w, word) for word in words]
+            for n in sorted({len(word) for word in words}):  # one compose_words call per length
+                same = [word for word in words if len(word) == n]
+                symbols = np.reshape([word.symbols for word in same], (len(same), n))
+                maps.update(zip(same, map(Similitude, *compose_words(w, symbols))))
         except QdimError as exc:
             raise _Invalid("words", str(exc)) from exc
+        family = [maps[word] for word in words]
         labels = [str(word) for word in words]
     else:
         family = list(w.maps)
         labels = [str(i + 1) for i in range(w.n_maps)]
     if args.condition == "ssc":
-        report = check_ssc(family, hull, hull_is_tight=args.hull_is_tight)
+        report = check_ssc(family, hull)
     else:
         report = check_osc_sufficient(family, hull)
     obj = {
@@ -341,6 +346,8 @@ def _cmd_measure(args) -> int:
 
 def _cmd_verify(args) -> int:
     failures = 0
+    if args.only and not args.criteria:
+        raise _Invalid("only", "--only selects criteria: it needs --criteria")
     if args.criteria:
         only = _parse_ints("only", args.only) if args.only else None
         if only is not None:
@@ -387,8 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", help="comma-separated words, e.g. 11,21,31 or 1.12,12. "
                    "for symbols >= 10 (default: level 1)")
     p.add_argument("--condition", choices=["ssc", "osc"], default="ssc")
-    p.add_argument("--hull-is-tight", action="store_true",
-                   help="allow 1-d violation verdicts (hull known to equal the attractor box)")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_check_sep)
 

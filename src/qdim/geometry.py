@@ -54,16 +54,6 @@ class Box:
     def halfwidth(self) -> np.ndarray:
         return 0.5 * (self.hi - self.lo)
 
-    # ---- predicates and metrics ---------------------------------------------
-
-    def contains_box(self, other: "Box", slack: float = 0.0) -> bool:
-        """True when ``other`` fits inside this box inflated by ``slack``."""
-        return bool(np.all(other.lo >= self.lo - slack) and np.all(other.hi <= self.hi + slack))
-
-    def gap_to(self, other: "Box") -> float:
-        """Euclidean distance between the two closed boxes (0 when they meet)."""
-        return float(box_gaps(self.lo, self.hi, other.lo, other.hi))
-
 
 def box_gaps(lo: np.ndarray, hi: np.ndarray, lo2: np.ndarray, hi2: np.ndarray) -> np.ndarray:
     """Euclidean gaps between boxes [lo, hi] and [lo2, hi2], broadcast over

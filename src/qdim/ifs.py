@@ -45,6 +45,7 @@ __all__ = [
     "SubWIFS",
     "compose_word",
     "compose_words",
+    "stack_maps",
     "box_images",
     "build_sub_wifs",
     "attractor_hull",
@@ -105,16 +106,6 @@ class Similitude:
         """Apply the map to one point (m,) or a batch (k, m)."""
         p = np.asarray(points, dtype=float)
         return p @ (self.scale * self.isometry.T) + self.translation
-
-    def box_image(self, box: Box) -> Box:
-        """Axis-aligned enclosure of the image of ``box`` (see :func:`box_images`)."""
-        lo, hi = box_images(np.array([self.scale]), self.isometry[None], self.translation[None], box)
-        return Box(lo[0], hi[0])
-
-    @property
-    def is_orientation_preserving(self) -> bool:
-        """True when det(isometry) > 0 (in 1-d: the sign is +1)."""
-        return bool(np.linalg.det(self.isometry) > 0.0)
 
 
 def similitude_1d(scale: float, offset: float, orientation: int = 1) -> Similitude:
@@ -229,13 +220,11 @@ class Word:
             if s > wifs.n_maps:
                 raise InvalidWord(f"symbol {s} lies outside the maps 1..{wifs.n_maps}")
 
-    def weight(self, wifs: WIFS) -> float:
-        """Product of the probabilities along the word (1.0 for the empty word)."""
-        self._check_against(wifs)
-        out = 1.0
-        for s in self.symbols:
-            out *= float(wifs.probs[s - 1])
-        return out
+
+def stack_maps(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scales (k,), isometries (k, m, m) and translations (k, m) of k maps."""
+    return (np.array([f.scale for f in maps]), np.array([f.isometry for f in maps]),
+            np.array([f.translation for f in maps]))
 
 
 def compose_words(wifs: WIFS, symbols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,13 +238,22 @@ def compose_words(wifs: WIFS, symbols) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if bad.size:
         raise InvalidWord(f"symbol {bad[0]} lies outside the maps 1..{wifs.n_maps}")
     k, m = symbols.shape[0], wifs.dim
-    scales, isos = wifs.scales, np.array([f.isometry for f in wifs.maps])
-    trs = np.array([f.translation for f in wifs.maps])
+    scales, isos, trs = stack_maps(wifs.maps)
     scale, lin, tr = np.ones(k), np.tile(np.eye(m), (k, 1, 1)), np.zeros((k, m))
     for col in symbols.T - 1:
         tr = ((scale[:, None, None] * lin) @ trs[col][:, :, None])[:, :, 0] + tr
         scale, lin = scale * scales[col], lin @ isos[col]
     return scale, lin, tr
+
+
+def _word_weights(wifs: WIFS, symbols: np.ndarray) -> np.ndarray:
+    """Word weights p_w (k,) along the rows of a (k, L) matrix of symbols
+    that :func:`compose_words` accepted: the probabilities multiplied from
+    the left, one column at a time, from 1.0."""
+    weight = np.ones(len(symbols))
+    for col in symbols.T - 1:
+        weight = weight * wifs.probs[col]
+    return weight
 
 
 def box_images(scale: np.ndarray, lin: np.ndarray, tr: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +282,11 @@ class SubWIFS:
     """Strict level-n sub-system of a parent WIFS.
 
     Keeps the words ``eta`` in ``selection`` (all of length ``level``), each
-    glued to the common ``suffix`` word, with maps ``f_{eta suffix}`` and
-    weights renormalised from the parent word weights:
+    glued to the common ``suffix`` word, with maps ``f_{eta suffix}``, the
+    parent word weights ``weights`` (p_w for w = eta suffix) and those
+    weights renormalised:
 
-        varsigma_eta = w(eta suffix) / sum_{theta in selection} w(theta suffix).
+        varsigma_eta = p_{eta suffix} / sum_{theta in selection} p_{theta suffix}.
 
     Build through :func:`build_sub_wifs`, which validates everything.
     """
@@ -296,6 +295,7 @@ class SubWIFS:
     suffix: Word
     selection: tuple[Word, ...]
     maps: tuple[Similitude, ...]
+    weights: np.ndarray
     probs: np.ndarray
 
     def to_wifs(self) -> WIFS:
@@ -327,17 +327,16 @@ def build_sub_wifs(wifs: WIFS, level: int, suffix: Word, selection) -> SubWIFS:
     for w in words:
         if len(w) != level:
             raise InvalidWord(f"selected word '{w}' does not have length {level}")
-        w._check_against(wifs)
-    suffix._check_against(wifs)
+    symbols = np.array([(w + suffix).symbols for w in words], dtype=int)
+    maps = tuple(map(Similitude, *compose_words(wifs, symbols)))
     if len(words) >= wifs.n_maps ** level:
         raise NotStrictSubset(
             f"selection of {len(words)} words covers all level-{level} words; "
             "a strict subset is required"
         )
-    maps = tuple(compose_word(wifs, w + suffix) for w in words)
-    raw = np.array([(w + suffix).weight(wifs) for w in words])
-    probs = raw / math.fsum(raw.tolist())
-    return SubWIFS(level=level, suffix=suffix, selection=tuple(words), maps=maps, probs=probs)
+    weights = _word_weights(wifs, symbols)
+    return SubWIFS(level=level, suffix=suffix, selection=tuple(words), maps=maps,
+                   weights=weights, probs=weights / math.fsum(weights.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +359,10 @@ def attractor_hull(wifs: WIFS) -> Box:
     no invariant box exists) or a cap is hit.
     """
     m, cap = wifs.dim, wifs.n_maps ** (2 * wifs.dim)
-    a = np.array([f.scale * np.block([[np.maximum(f.isometry, 0.0), np.maximum(-f.isometry, 0.0)],
-                                      [np.maximum(-f.isometry, 0.0), np.maximum(f.isometry, 0.0)]])
-                  for f in wifs.maps])
-    b = np.array([np.concatenate([-f.translation, f.translation]) for f in wifs.maps])
+    scale, lin, tr = stack_maps(wifs.maps)
+    pos, neg = np.maximum(lin, 0.0), np.maximum(-lin, 0.0)
+    a = scale[:, None, None] * np.block([[pos, neg], [neg, pos]])
+    b = np.hstack([-tr, tr])
     rows = np.arange(2 * m)
     policy = np.zeros(2 * m, dtype=int)
     for _ in range(cap):
@@ -387,14 +386,13 @@ def attractor_hull(wifs: WIFS) -> Box:
     y = np.maximum(y, -np.roll(y, m))  # a point hull can cross by rounding
 
     # The solve is exact up to rounding, but callers use the rounded
-    # box_image: grow the box until every one fits.  Along push each policy
+    # box_images: grow the box until every one fits.  Along push each policy
     # row gains one unit of margin per unit of step; the step starts at the
     # largest overshoot and doubles until it beats rounding.
     step = 0.0
     for _ in range(64):
-        box = Box(-y[:m], y[m:])
-        images = [f.box_image(box) for f in wifs.maps]
-        over = float(np.max([np.concatenate([-img.lo, img.hi]) - y for img in images]))
+        lo, hi = box_images(scale, lin, tr, Box(-y[:m], y[m:]))
+        over = float(np.max(np.hstack([-lo, hi]) - y))
         if over <= 0.0:
             break
         step = max(2.0 * step, over)
@@ -454,10 +452,9 @@ def wifs_from_json_obj(obj: dict) -> WIFS:
     """
     if not isinstance(obj, dict):
         raise QdimError("wifs config must be a JSON object")
-    try:
-        ambient = int(obj["ambient_dim"])
-    except (KeyError, TypeError, ValueError):
-        raise QdimError("field 'ambient_dim' missing or not an integer") from None
+    ambient = obj.get("ambient_dim")
+    if isinstance(ambient, bool) or not isinstance(ambient, int) or ambient < 1:
+        raise QdimError(f"field 'ambient_dim' must be a positive integer, got {ambient!r}")
     maps_raw = obj.get("maps")
     if not isinstance(maps_raw, list) or not maps_raw:
         raise QdimError("field 'maps' must be a non-empty list")

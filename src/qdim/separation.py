@@ -4,10 +4,10 @@ The checks here are deliberately one-sided.  Working on axis-aligned
 enclosures in floating point, we can *certify* strong separation (disjoint
 image boxes with a positive gap) and a sufficient open-set arrangement, but
 an overlap of enclosures proves nothing in general - so the default answer
-on overlap is ``UNKNOWN``.  The single exception is the 1-d
-orientation-preserving case where the caller vouches that the supplied
-interval is the exact attractor hull (``hull_is_tight=True``); there an
-overlap of positive length is a genuine violation.
+on overlap is ``UNKNOWN``.  The single exception is 1-d, where images that
+chain across the whole of K prove that K is the family's attractor
+(:func:`check_ssc`); there an overlap of positive length is a genuine
+violation.
 
 Decisions use an outward guard band of 1e-12, so a certificate is only
 issued when it survives the floating-point dust.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInvariantSet
 from .geometry import Box, box_gaps
-from .ifs import SubWIFS, WIFS, Word, attractor_hull, box_images, build_sub_wifs, compose_words
+from .ifs import SubWIFS, WIFS, Word, attractor_hull, box_images, build_sub_wifs, compose_words, stack_maps
 
 __all__ = [
     "Condition",
@@ -72,65 +72,77 @@ class SeparationReport:
     min_gap: float
 
 
-def _validate_family(maps, box: Box) -> tuple[list, list[Box]]:
-    """The family as a list and its image boxes, after checking that every
-    image stays in K."""
-    maps = list(maps)
+def _validate_family(maps, box: Box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scales (k,) and image corners (k, m) of the family, after checking
+    that every image stays in K."""
+    maps = tuple(maps)
     if not maps:
         raise ValueError("need at least one map")
     for k, f in enumerate(maps):
         if f.dim != box.dim:
             raise InvalidInvariantSet(f"map {k} lives in R^{f.dim}, K in R^{box.dim}")
-    images = [f.box_image(box) for f in maps]
-    for k, img in enumerate(images):
-        if not box.contains_box(img, slack=_INVARIANCE_SLACK):
-            raise InvalidInvariantSet(
-                f"K is not invariant: image of map {k} leaves K "
-                f"(image [{img.lo}, {img.hi}] vs K [{box.lo}, {box.hi}])"
-            )
-    return maps, images
+    scale, lin, tr = stack_maps(maps)
+    lo, hi = box_images(scale, lin, tr, box)
+    leaves = np.any((lo < box.lo - _INVARIANCE_SLACK) | (hi > box.hi + _INVARIANCE_SLACK), axis=1)
+    if leaves.any():
+        k = int(leaves.argmax())
+        raise InvalidInvariantSet(f"K is not invariant: image of map {k} leaves K "
+                                  f"(image [{lo[k]}, {hi[k]}] vs K [{box.lo}, {box.hi}])")
+    return scale, lo, hi
 
 
-def _pairwise_gaps(images: list[Box]) -> tuple[float, list[tuple[int, int]]]:
+def _pairwise_gaps(lo: np.ndarray, hi: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     """Smallest pairwise Euclidean gap between the image boxes (infinite for
     one box) and the guard-close pairs i < j, in lexicographic order."""
-    lo, hi = np.array([b.lo for b in images]), np.array([b.hi for b in images])
     gap = box_gaps(lo[:, None], hi[:, None], lo, hi)
     np.fill_diagonal(gap, np.inf)
     return float(gap.min()), [(int(i), int(j)) for i, j in np.argwhere(np.triu(gap <= 2.0 * GUARD))]
 
 
-def _overlap_length_1d(a: Box, b: Box) -> float:
-    return float(min(a.hi[0], b.hi[0]) - max(a.lo[0], b.lo[0]))
-
-
-def check_ssc(maps, box: Box, hull_is_tight: bool = False) -> SeparationReport:
+def check_ssc(maps, box: Box) -> SeparationReport:
     """Strong-separation check for a family of maps on an invariant set K.
 
     Satisfied when all pairwise image boxes are disjoint beyond the guard
-    band; the reported ``min_gap`` is the raw smallest gap.  On overlap the
-    verdict is UNKNOWN, except in the 1-d orientation-preserving case with
-    ``hull_is_tight=True`` and an overlap of positive length, which is a
-    certified violation.
+    band; the reported ``min_gap`` is the raw smallest gap.  Violated, in
+    1-d only, when the images cover K: the witness is the first pair whose
+    images overlap by more than ``2 * GUARD``.  Unknown otherwise.
+
+    The cover rule: sorted by left end, each image interval overlaps the
+    reach of the earlier ones by more than ``2 * GUARD``, and together they
+    span K exactly.  In exact arithmetic F(K) = K then, so K is the
+    attractor A (the only non-empty compact set with F(A) = A; Hutchinson,
+    Indiana Univ. Math. J. 30, 1981), and images of K that overlap are
+    images of A that meet, whatever the orientation of the maps.  Rounding,
+    at the ends too: each computed end is within rho < 16 ulps of
+    M = max |corner of K| of the true one (a handful of roundings of
+    operands at most 2 M).  H(L), the hull of the f_i(L) for intervals L,
+    moves ends at most s times as far as L's (s the largest scale) and
+    fixes J = conv A, as f_i(J) = conv f_i(A).  True H(K) is within rho of
+    K, so J is within rho / (1 - s) of K and each f_i(J) within that of its
+    computed image.  The rule asks rho < ``GUARD`` (1 - s): the f_i(J) still
+    chain and the witness pair still overlaps, so the union of the f_i(J)
+    is an interval with hull J, F(J) = J, A = J and f_i(A) = f_i(J).  Some
+    pair overlaps: the image reaching K's right end meets the reach before it.
 
     Raises
     ------
     InvalidInvariantSet
         when some image leaves K (beyond a 1e-9 slack).
     """
-    maps, images = _validate_family(maps, box)
-    min_gap, close_pairs = _pairwise_gaps(images)
+    scale, lo, hi = _validate_family(maps, box)
+    min_gap, close_pairs = _pairwise_gaps(lo, hi)
     if not close_pairs:
-        return SeparationReport(Condition.SSC, Status.SATISFIED, tuple(images), min_gap)
-
-    if box.dim == 1 and hull_is_tight:
-        for i, j in close_pairs:
-            if (
-                maps[i].is_orientation_preserving
-                and maps[j].is_orientation_preserving
-                and _overlap_length_1d(images[i], images[j]) > 2.0 * GUARD
-            ):
-                return SeparationReport(Condition.SSC, Status.VIOLATED, (i, j), min(min_gap, 0.0))
+        return SeparationReport(Condition.SSC, Status.SATISFIED, tuple(map(Box, lo, hi)), min_gap)
+    if box.dim == 1:
+        order = np.argsort(lo[:, 0])
+        left, right = lo[order, 0], hi[order, 0]
+        reach = np.maximum.accumulate(right)
+        rho = 16.0 * np.spacing(np.max(np.abs([box.lo, box.hi])))
+        if (left[0] == box.lo[0] and reach[-1] == box.hi[0] and rho < GUARD * (1.0 - scale.max())
+                and np.all(np.minimum(right[1:], reach[:-1]) - left[1:] > 2.0 * GUARD)):
+            overlap = np.minimum(hi, hi.T) - np.maximum(lo, lo.T)
+            i, j = np.argwhere(np.triu(overlap > 2.0 * GUARD, 1))[0]
+            return SeparationReport(Condition.SSC, Status.VIOLATED, (int(i), int(j)), min_gap)
     return SeparationReport(Condition.SSC, Status.UNKNOWN, close_pairs[0], min_gap)
 
 
@@ -142,19 +154,15 @@ def check_osc_sufficient(maps, box: Box) -> SeparationReport:
     endpoints allowed - and stay inside K.  Everything else is UNKNOWN:
     failing this sufficient test proves nothing.
     """
-    _, images = _validate_family(maps, box)
-    min_gap, close_pairs = _pairwise_gaps(images)
+    _, lo, hi = _validate_family(maps, box)
+    min_gap, close_pairs = _pairwise_gaps(lo, hi)
     if not close_pairs:
-        return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(images), min_gap)
+        return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(map(Box, lo, hi)), min_gap)
 
     if box.dim == 1:
-        order = sorted(range(len(images)), key=lambda k: (float(images[k].lo[0]), float(images[k].hi[0])))
-        interiors_disjoint = all(
-            float(images[order[k + 1]].lo[0]) >= float(images[order[k]].hi[0]) - GUARD
-            for k in range(len(order) - 1)
-        )
-        if interiors_disjoint:
-            return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(images), max(min_gap, 0.0))
+        order = np.lexsort((hi[:, 0], lo[:, 0]))
+        if np.all(lo[order[1:], 0] >= hi[order[:-1], 0] - GUARD):  # interiors disjoint
+            return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(map(Box, lo, hi)), max(min_gap, 0.0))
 
     return SeparationReport(Condition.OSC, Status.UNKNOWN, close_pairs[0], min_gap)
 

@@ -1,7 +1,8 @@
 """Per-word references for the batched word kernels.
 
 These are the one-word-at-a-time forms that ``qdim.ifs.compose_words``,
-``qdim.ifs.box_images``, ``qdim.geometry.box_gaps`` and the sub-IFS search
+``qdim.ifs.box_images``, ``qdim.geometry.box_gaps``, the sub-IFS search,
+the hull's and the separation checks' per-map images and the word weight
 replaced.  They stay here as oracles: the batched results must equal them
 bit for bit.
 """
@@ -29,6 +30,21 @@ def box_image(scale, iso, tr, box):
     c = box.center @ (scale * iso.T) + tr
     h = scale * (np.abs(iso) @ box.halfwidth)
     return c - h, c + h
+
+
+def map_images(maps, box):
+    """Corners of each map's image of ``box``, one map at a time, as
+    ``attractor_hull``'s invariance loop and the separation checks took them."""
+    return [box_image(f.scale, f.isometry, f.translation, box) for f in maps]
+
+
+def word_weight(wifs, symbols):
+    """Product of the probabilities along the word, from the left (1.0 for
+    the empty word)."""
+    out = 1.0
+    for s in symbols:
+        out *= float(wifs.probs[s - 1])
+    return out
 
 
 def gap(lo, hi, lo2, hi2):

@@ -64,7 +64,8 @@ def test_sub_domination_fails_with_renormalised_weights(parent):
     # Criterion 6 can fail: the renormalised sub-measure (S = {11, 12, 21} on
     # the Cantor, {1, 3} on quarter_maps(0.2)) puts more mass on its words'
     # cylinders than mu does, and about half the boxes catch it.
-    assert _sub_domination(parent())[0] == 0
+    violations, worst = _sub_domination(parent())
+    assert violations == 0 and worst < 0.0  # margin over boxes with mass, not an empty box's 0
     assert _sub_domination(parent(), renormalised=True)[0] >= 90
 
 

@@ -132,6 +132,17 @@ def test_dim_malformed_wifs_file(tmp_path, capsys):
     assert "error: wifs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ambient", [-1, 0, 1.7, True, "1"])
+def test_wifs_file_needs_a_positive_integer_ambient_dim(tmp_path, capsys, ambient):
+    obj = wifs_to_json_obj(cantor())
+    obj["ambient_dim"] = ambient
+    path = tmp_path / "cantor.json"
+    path.write_text(json.dumps(obj))
+    assert main(["dim", "--wifs", str(path), "--r", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error: wifs" in err and "'ambient_dim' must be a positive integer" in err
+
+
 def test_argparse_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dim"])
@@ -164,6 +175,34 @@ def test_check_sep_level1_is_unknown(wifs_files, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "Unknown"
     assert obj["overlapping_pair"] == ["1", "2"]
+
+
+def _check_sep_json(tmp_path, capsys, *maps) -> dict:
+    w = WIFS(maps=tuple(similitude_1d(*f) for f in maps), probs=np.full(len(maps), 1.0 / len(maps)))
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(wifs_to_json_obj(w)))
+    assert main(["check-sep", "--wifs", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_check_sep_proves_a_violation_when_the_images_cover_the_hull(tmp_path, capsys):
+    for maps in ([(0.6, 0.0), (0.6, 0.4)], [(0.6, 0.6, -1), (0.6, 0.4)]):
+        obj = _check_sep_json(tmp_path, capsys, *maps)
+        assert obj["status"] == "Violated" and obj["overlapping_pair"] == ["1", "2"]
+        assert obj["min_gap"] == 0.0
+
+
+def test_check_sep_overlap_without_a_cover_is_unknown(tmp_path, capsys):
+    # f1(K) and f3(K) overlap, yet f1(A) and f3(A) lie 0.025 apart
+    obj = _check_sep_json(tmp_path, capsys, (0.1, 0.0), (0.1, 0.9), (0.1, 0.05))
+    assert obj["status"] == "Unknown" and obj["overlapping_pair"] == ["1", "3"]
+
+
+def test_check_sep_has_no_hull_is_tight_flag(wifs_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-sep", "--wifs", wifs_files["t02"], "--hull-is-tight"])
+    assert exc.value.code == 2
+    assert "--hull-is-tight" in capsys.readouterr().err
 
 
 def test_check_sep_osc_accepts_touching(wifs_files, capsys):
@@ -695,6 +734,12 @@ def test_verify_single_criterion(capsys):
     assert main(["verify", "--criteria", "--only", "1,4"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2 and "all checks passed" in out
+
+
+def test_verify_only_needs_criteria(capsys):
+    assert main(["verify", "--only", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "error: only" in captured.err and captured.out == ""
 
 
 def test_verify_rejects_unknown_id(capsys):

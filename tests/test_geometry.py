@@ -21,23 +21,11 @@ def test_box_center_halfwidth_diameter():
     assert 2.0 * np.linalg.norm(b.halfwidth) == pytest.approx(np.sqrt(8.0))
 
 
-def test_containment_and_slack():
-    outer = Box(np.array([0.0]), np.array([1.0]))
-    inner = Box(np.array([0.2]), np.array([0.8]))
-    assert outer.contains_box(inner)
-    nudged = Box(np.array([-1e-12]), np.array([1.0]))
-    assert not outer.contains_box(nudged)
-    assert outer.contains_box(nudged, slack=1e-9)
-
-
 def test_gap_between_boxes():
-    a = Box(np.array([0.0]), np.array([1.0]))
-    b = Box(np.array([1.5]), np.array([2.0]))
-    assert a.gap_to(b) == 0.5
-    assert a.gap_to(a) == 0.0
-    c = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    d = Box(np.array([2.0, 2.0]), np.array([3.0, 3.0]))
-    assert c.gap_to(d) == pytest.approx(np.sqrt(2.0))
+    assert box_gaps(np.array([0.0]), np.array([1.0]), np.array([1.5]), np.array([2.0])) == 0.5
+    assert box_gaps(np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([1.0])) == 0.0
+    c_lo, c_hi, d_lo, d_hi = np.zeros(2), np.ones(2), np.full(2, 2.0), np.full(2, 3.0)
+    assert box_gaps(c_lo, c_hi, d_lo, d_hi) == pytest.approx(np.sqrt(2.0))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -55,7 +43,7 @@ def test_box_gaps_equal_the_norm_formula_bit_for_bit(m):
         assert not gaps[:200].any()
         ref = [per_word.gap(lo[k], hi[k], lo2[k], hi2[k]) for k in range(500)]
         assert np.asarray(ref).tobytes() == gaps.tobytes()
-        # one call over all pairs matches Box.gap_to pair by pair
+        # one call over all pairs matches the norm formula pair by pair
         table = box_gaps(lo[:20, None], hi[:20, None], lo2[:20], hi2[:20])
-        assert [[Box(lo[i], hi[i]).gap_to(Box(lo2[j], hi2[j])) for j in range(20)]
+        assert [[per_word.gap(lo[i], hi[i], lo2[j], hi2[j]) for j in range(20)]
                 for i in range(20)] == table.tolist()

@@ -7,6 +7,7 @@ tests take over.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qdim.ifs import (
     compose_words,
     hutchinson_push,
     similitude_1d,
+    stack_maps,
     wifs_from_json_obj,
     wifs_to_json_obj,
 )
@@ -62,8 +64,13 @@ def test_non_orthogonal_isometry_rejected():
 
 
 def test_orientation_flag():
-    assert similitude_1d(0.5, 0.0).is_orientation_preserving
-    assert not similitude_1d(0.5, 1.0, orientation=-1).is_orientation_preserving
+    # orientation -1 reverses the line: f(x) = -0.5 x + 1 sends 0 to 1 and 1 to 1/2
+    assert similitude_1d(0.5, 0.0).isometry.tolist() == [[1.0]]
+    f = similitude_1d(0.5, 1.0, orientation=-1)
+    assert f.isometry.tolist() == [[-1.0]]
+    np.testing.assert_array_equal(f.apply(np.array([[0.0], [1.0]])), [[1.0], [0.5]])
+    with pytest.raises(ValueError):
+        similitude_1d(0.5, 0.0, orientation=0)
 
 
 def test_compose_scales_multiply():
@@ -183,8 +190,8 @@ def test_compose_words_equals_the_per_word_fold_bit_for_bit(name):
                 assert ref_lo.tobytes() == lo[k].tobytes() and ref_hi.tobytes() == hi[k].tobytes(), word
                 f = compose_word(w, Word(word))
                 assert f.isometry.tobytes() == lin[k].tobytes() and f.translation.tobytes() == tr[k].tobytes()
-                img = f.box_image(hull)
-                assert img.lo.tobytes() == lo[k].tobytes() and img.hi.tobytes() == hi[k].tobytes()
+                one_lo, one_hi = box_images(*stack_maps([f]), hull)
+                assert one_lo.tobytes() == lo[k].tobytes() and one_hi.tobytes() == hi[k].tobytes()
 
 
 def test_compose_words_refuses_symbols_outside_the_maps():
@@ -195,10 +202,38 @@ def test_compose_words_refuses_symbols_outside_the_maps():
 
 
 def test_word_weight():
+    # the sub-system's weights column holds the parent word weights p_w
     w = WIFS(maps=(similitude_1d(0.5, 0.0), similitude_1d(0.25, 0.5)), probs=(0.3, 0.7))
-    assert Word.parse("21").weight(w) == pytest.approx(0.21, rel=1e-15)
+    sub = build_sub_wifs(w, 1, Word.parse("1"), [Word.parse("2")])
+    assert sub.weights.tolist() == [0.21] and sub.probs.tolist() == [1.0]
     with pytest.raises(InvalidWord):
-        Word.parse("3").weight(w)
+        build_sub_wifs(w, 1, Word(), [Word.parse("3")])
+
+
+@pytest.mark.parametrize("name", ["1-d reflections", "90-degree rotation", "0.7 rad rotation",
+                                  "R^3 orthogonal maps"])
+def test_weights_equal_the_left_to_right_product_bit_for_bit(name):
+    w = dict(_batch_systems())[name]
+    for suffix in (Word(), Word.parse("21")):
+        for level in (1, 2, 3):
+            words = [Word(p) for p in itertools.product(range(1, w.n_maps + 1), repeat=level)][1:]
+            sub = build_sub_wifs(w, level, suffix, words)
+            ref = np.array([per_word.word_weight(w, (word + suffix).symbols) for word in words])
+            assert sub.weights.tobytes() == ref.tobytes(), (level, str(suffix))
+            assert sub.probs.tobytes() == (ref / math.fsum(ref.tolist())).tobytes()
+
+
+@pytest.mark.parametrize("name", ["1-d reflections", "90-degree rotation", "0.7 rad rotation",
+                                  "R^3 orthogonal maps"])
+def test_one_image_call_equals_the_per_map_images_bit_for_bit(name):
+    # the hull's invariance check and the separation checks image a whole
+    # family in one box_images call
+    w = dict(_batch_systems())[name]
+    hull = attractor_hull(w)
+    for maps in (w.maps, [compose_word(w, Word(p)) for p in itertools.product(range(1, w.n_maps + 1), repeat=2)]):
+        lo, hi = box_images(*stack_maps(maps), hull)
+        for k, (ref_lo, ref_hi) in enumerate(per_word.map_images(maps, hull)):
+            assert ref_lo.tobytes() == lo[k].tobytes() and ref_hi.tobytes() == hi[k].tobytes(), k
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +298,8 @@ def test_hull_is_invariant_in_2d():
                    Similitude(scale=0.3, isometry=np.eye(2), translation=np.array([1.0, 0.5]))),
              probs=(0.5, 0.5))
     h = attractor_hull(w)
-    for f in w.maps:
-        img = f.box_image(h)
-        assert h.contains_box(img, slack=1e-9)
+    lo, hi = box_images(*stack_maps(w.maps), h)
+    assert np.all(lo >= h.lo - 1e-9) and np.all(hi <= h.hi + 1e-9)
 
 
 def _signed_permutations(m):
@@ -295,12 +329,11 @@ def _signed_permutation_systems(draw):
 @given(_signed_permutation_systems())
 def test_hull_is_an_exact_float_fixed_point(w):
     h = attractor_hull(w)
-    images = [f.box_image(h) for f in w.maps]
-    assert all(h.contains_box(img) for img in images)  # zero slack
+    lo, hi = box_images(*stack_maps(w.maps), h)
+    assert np.all(lo >= h.lo) and np.all(hi <= h.hi)  # zero slack
     # Hulls reach 1e4 at scale 0.9999, where one ulp is 1.8e-12: the
     # tolerance is relative to the hull's size.
-    lo = np.min([img.lo for img in images], axis=0)
-    hi = np.max([img.hi for img in images], axis=0)
+    lo, hi = lo.min(axis=0), hi.max(axis=0)
     size = max(1.0, float(np.max(np.abs([h.lo, h.hi]))))
     assert np.max(np.abs(lo - h.lo)) <= 1e-12 * size
     assert np.max(np.abs(hi - h.hi)) <= 1e-12 * size

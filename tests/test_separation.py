@@ -57,23 +57,81 @@ def test_level1_overlap_is_unknown_by_default(t02):
     assert rep.min_gap <= 0.0
 
 
+def _one_d(*maps):
+    w = WIFS(maps=tuple(similitude_1d(*f) for f in maps), probs=np.full(len(maps), 1.0 / len(maps)))
+    return w, attractor_hull(w)
+
+
 def test_tight_hull_upgrades_overlap_to_violation():
-    # images of [0,1] under {0.6x, 0.6x+0.4} are [0,0.6] and [0.4,1]:
-    # a genuine interval overlap once the hull is known to be tight
-    w = WIFS(maps=(similitude_1d(0.6, 0.0), similitude_1d(0.6, 0.4)), probs=(0.5, 0.5))
-    hull = attractor_hull(w)
-    assert check_ssc(list(w.maps), hull).status is Status.UNKNOWN
-    rep = check_ssc(list(w.maps), hull, hull_is_tight=True)
-    assert rep.status is Status.VIOLATED
-    assert rep.witness == (0, 1)
+    # images of [0,1] under {0.6x, 0.6x+0.4} are [0,0.6] and [0.4,1]: they
+    # cover the hull, so it is the attractor and the overlap is genuine,
+    # for a reversing map as well
+    for maps in ([(0.6, 0.0), (0.6, 0.4)], [(0.6, 0.6, -1), (0.6, 0.4)]):
+        w, hull = _one_d(*maps)
+        rep = check_ssc(list(w.maps), hull)
+        assert rep.status is Status.VIOLATED
+        assert rep.witness == (0, 1) and rep.min_gap == 0.0
 
 
 def test_generator_family_gets_the_same_verdict_as_a_list():
-    w = WIFS(maps=(similitude_1d(0.6, 0.0), similitude_1d(0.6, 0.4)), probs=(0.5, 0.5))
-    hull = attractor_hull(w)
-    rep = check_ssc((f for f in w.maps), hull, hull_is_tight=True)
+    w, hull = _one_d((0.6, 0.0), (0.6, 0.4))
+    rep = check_ssc((f for f in w.maps), hull)
     assert rep.status is Status.VIOLATED and rep.witness == (0, 1)
     assert check_osc_sufficient((f for f in w.maps), hull).status is Status.UNKNOWN
+
+
+def test_overlap_without_a_cover_stays_unknown():
+    # K = [0, 1] but the attractor lies in [0, .15] u [.9, 1]: f1(K) and f3(K)
+    # overlap while f1(A) and f3(A) are 0.025 apart, and the images leave
+    # (.15, .9) uncovered, so nothing is proved
+    w, hull = _one_d((0.1, 0.0), (0.1, 0.9), (0.1, 0.05))
+    rep = check_ssc(list(w.maps), hull)
+    assert rep.status is Status.UNKNOWN and rep.witness == (0, 2)
+
+
+def test_cover_needs_both_ends_and_more_than_the_guard():
+    w, hull = _one_d((0.6, 0.0), (0.6, 0.4))
+    # a box wider than the images' span: they miss its ends
+    wide = Box(np.array([-0.5]), np.array([1.5]))
+    assert check_ssc(list(w.maps), wide).status is Status.UNKNOWN
+    # images [0, .5] and [.5 - GUARD, 1] overlap by GUARD only
+    w, hull = _one_d((0.5, 0.0), (0.5, 0.5 - GUARD))
+    assert check_ssc(list(w.maps), hull).status is Status.UNKNOWN
+    # a third tiny image inside another keeps the cover
+    w, hull = _one_d((0.6, 0.0), (0.6, 0.4), (1e-3, 0.3))
+    assert check_ssc(list(w.maps), hull).status is Status.VIOLATED
+
+
+def test_cover_is_refused_where_rounding_could_outgrow_the_guard():
+    # An end error of 16 ulps of 1 (3.6e-15) can grow by 1 / (1 - s) in the
+    # attractor's ends: past GUARD for s = 0.999, not for s = 0.99.
+    w, hull = _one_d((0.999, 0.0), (0.5, 0.5))
+    assert float(hull.lo[0]) == 0.0 and float(hull.hi[0]) == 1.0
+    assert check_ssc(list(w.maps), hull).status is Status.UNKNOWN
+    w, hull = _one_d((0.99, 0.0), (0.5, 0.5))
+    assert check_ssc(list(w.maps), hull).status is Status.VIOLATED
+
+
+def test_containment_and_slack():
+    # the family's images must lie in K, up to a slack of 1e-9
+    unit = Box(np.array([0.0]), np.array([1.0]))
+    assert check_ssc([similitude_1d(0.6, 0.2)], unit).status is Status.SATISFIED
+    nudged = [similitude_1d(0.5, -1e-12), similitude_1d(0.5, 0.5)]
+    assert check_ssc(nudged, unit).status is Status.UNKNOWN
+    with pytest.raises(InvalidInvariantSet, match="image of map 1 leaves K"):
+        check_ssc([similitude_1d(0.5, 0.0), similitude_1d(0.5, 0.5 + 1e-8)], unit)
+
+
+@pytest.mark.parametrize("check", [check_ssc, check_osc_sufficient])
+def test_satisfied_witness_holds_the_per_map_images_bit_for_bit(check):
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    w = WIFS(maps=(Similitude(0.3, np.eye(2), np.zeros(2)), Similitude(0.3, rot, np.array([1.0, 0.0])),
+                   Similitude(0.25, np.eye(2), np.array([0.7, 0.7]))), probs=(0.3, 0.3, 0.4))
+    hull = attractor_hull(w)
+    rep = check(list(w.maps), hull)
+    assert rep.status is Status.SATISFIED
+    for box, (lo, hi) in zip(rep.witness, per_word.map_images(w.maps, hull), strict=True):
+        assert box.lo.tobytes() == lo.tobytes() and box.hi.tobytes() == hi.tobytes()
 
 
 def test_single_map_is_trivially_separated():
@@ -176,14 +234,14 @@ def test_search_raises_when_its_recheck_fails(t02, monkeypatch):
 def _level_images(w, level):
     hull = attractor_hull(w)
     words = [Word(p) for p in itertools.product(range(1, w.n_maps + 1), repeat=level)]
-    return words, [compose_word(w, word).box_image(hull) for word in words]
+    return words, [per_word.box_image(*per_word.fold_word(w, word.symbols), hull) for word in words]
 
 
 def _largest_strict_separated(images) -> int:
     """Size of the largest strict subset of pairwise separated images, by
     enumerating subsets largest first."""
     count = len(images)
-    separated = [[a.gap_to(b) > 2.0 * GUARD for b in images] for a in images]
+    separated = [[per_word.gap(*a, *b) > 2.0 * GUARD for b in images] for a in images]
     for size in range(count - 1, 0, -1):
         for combo in itertools.combinations(range(count), size):
             if all(separated[i][j] for i, j in itertools.combinations(combo, 2)):
@@ -225,7 +283,7 @@ def test_search_keeps_a_maximal_selection_in_2d():
         words, images = _level_images(w, sub.level)
         kept = [words.index(word) for word in sub.selection]
         left_out = [k for k in range(len(words)) if k not in kept]
-        far = [k for k in left_out if all(images[k].gap_to(images[j]) > 2.0 * GUARD for j in kept)]
+        far = [k for k in left_out if all(per_word.gap(*images[k], *images[j]) > 2.0 * GUARD for j in kept)]
         assert far == [] or far == left_out == [len(words) - 1], seed
 
 
