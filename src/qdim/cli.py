@@ -177,15 +177,12 @@ def _cmd_check_sep(args) -> int:
     hull = attractor_hull(w)
     if args.words:
         words = [_parse_word("words", tok) for tok in args.words.split(",")]
-        maps = {}
+        depth = max(map(len, words))
+        rows = [word.symbols + (0,) * (depth - len(word)) for word in words]
         try:
-            for n in sorted({len(word) for word in words}):  # one compose_words call per length
-                same = [word for word in words if len(word) == n]
-                symbols = np.reshape([word.symbols for word in same], (len(same), n))
-                maps.update(zip(same, map(Similitude, *compose_words(w, symbols))))
+            family = list(map(Similitude, *compose_words(w, np.reshape(rows, (len(words), depth)))))
         except QdimError as exc:
             raise _Invalid("words", str(exc)) from exc
-        family = [maps[word] for word in words]
         labels = [str(word) for word in words]
     else:
         family = list(w.maps)
@@ -241,6 +238,7 @@ def _check_sampling(args) -> None:
     _require_positive("samples", args.samples)
     _require_positive("restarts", args.restarts)
     _require_positive("burn-in", args.burn_in, strict=False)
+    _require_positive("seed", args.seed, strict=False)
     _require_positive("r", args.r, strict=False)
 
 
@@ -454,10 +452,7 @@ def main(argv=None) -> int:
     except _Invalid as exc:
         print(f"error: {exc.field}: {exc}", file=sys.stderr)
         return 2
-    except QdimError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, OSError) as exc:
+    except (QdimError, RuntimeError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

@@ -230,17 +230,22 @@ def stack_maps(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def compose_words(wifs: WIFS, symbols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scales (k,), isometries (k, m, m) and translations (k, m) of the maps
     along the rows of a (k, L) matrix of 1-based symbols, rightmost acting
-    first.  The fold runs from the identity one column at a time in the
-    one-word order ``f o g = (s s', R R', s R t' + t)``, so each row equals
-    that fold bit for bit.  Raises InvalidWord on a symbol outside 1..N."""
+    first; symbol 0 pads a shorter word on the right and composes the
+    identity exactly (scale 1, ``R @ I``, a zero translation).  The fold runs
+    from the identity one column at a time in the one-word order
+    ``f o g = (s s', R R', s R t' + t)``, so each row equals that fold of its
+    unpadded word bit for bit.  Raises InvalidWord on a symbol outside 0..N
+    or a 0 before a map symbol."""
     symbols = np.asarray(symbols, dtype=int)
-    bad = symbols[(symbols < 1) | (symbols > wifs.n_maps)]
-    if bad.size:
-        raise InvalidWord(f"symbol {bad[0]} lies outside the maps 1..{wifs.n_maps}")
+    bad = (symbols < 0) | (symbols > wifs.n_maps)
+    bad[:, :-1] |= (symbols[:, :-1] == 0) & (symbols[:, 1:] != 0)
+    if bad.any():
+        raise InvalidWord(f"symbol {symbols[bad][0]} lies outside the maps 1..{wifs.n_maps} "
+                          "(0 pads a word on the right only)")
     k, m = symbols.shape[0], wifs.dim
-    scales, isos, trs = stack_maps(wifs.maps)
+    scales, isos, trs = stack_maps((Similitude(1.0, np.eye(m), np.zeros(m)),) + wifs.maps)
     scale, lin, tr = np.ones(k), np.tile(np.eye(m), (k, 1, 1)), np.zeros((k, m))
-    for col in symbols.T - 1:
+    for col in symbols.T:
         tr = ((scale[:, None, None] * lin) @ trs[col][:, :, None])[:, :, 0] + tr
         scale, lin = scale * scales[col], lin @ isos[col]
     return scale, lin, tr
@@ -249,10 +254,11 @@ def compose_words(wifs: WIFS, symbols) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _word_weights(wifs: WIFS, symbols: np.ndarray) -> np.ndarray:
     """Word weights p_w (k,) along the rows of a (k, L) matrix of symbols
     that :func:`compose_words` accepted: the probabilities multiplied from
-    the left, one column at a time, from 1.0."""
+    the left, one column at a time, from 1.0; a padding 0 weighs 1."""
+    probs = np.concatenate([[1.0], wifs.probs])
     weight = np.ones(len(symbols))
-    for col in symbols.T - 1:
-        weight = weight * wifs.probs[col]
+    for col in symbols.T:
+        weight = weight * probs[col]
     return weight
 
 

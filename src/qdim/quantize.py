@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit
-from .ifs import WIFS, attractor_hull
+from .ifs import WIFS, attractor_hull, compose_words, stack_maps
 from .util import parallel_map
 
 __all__ = [
@@ -184,10 +184,11 @@ def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleS
     rng = np.random.default_rng(seed)
     total = burn_in + count
     picks = rng.choice(wifs.n_maps, size=total, p=wifs.probs)
-    mats = np.stack([f.scale * f.isometry for f in wifs.maps])
+    scale, iso, tr = stack_maps(wifs.maps)
+    mats = scale[:, None, None] * iso
     m = mats.shape[1]
     lin = np.take(mats.transpose(1, 2, 0), picks, axis=2)
-    x = np.take(np.stack([f.translation for f in wifs.maps], axis=1), picks, axis=1)
+    x = np.take(tr.T, picks, axis=1)
     x[:, 0] += mats[picks[0]] @ attractor_hull(wifs).center
     del picks
     step = 1
@@ -304,7 +305,7 @@ class _BoundedAssign:
         else:
             idx, low = self.idx.copy(), self.low
             low -= _largest_other(_norm((code - self.code).T), idx)
-            d = _tree_norm(_offsets(self.xt, idx, code))
+            d = _norm(_offsets(self.xt, idx, code))
             bound = tree.query(code, k=2)[0][idx, 1]
             bound -= d
             np.maximum(low, bound, out=low)
@@ -360,32 +361,19 @@ def _offsets(xt: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean length of each column of an (m, k) array."""
-    if v.shape[0] == 1:  # exact where sqrt(x*x) underflows (|x| < ~1e-154), and ~7x faster
-        return np.abs(v[0])
-    d = np.einsum("ij,ij->j", v, v)
-    return np.sqrt(d, out=d)
-
-
-def _tree_norm(v: np.ndarray) -> np.ndarray:
-    """:func:`_norm` summed in the order of scipy's KD-tree distance, so it
-    equals the tree's distance bit for bit: four running sums over the
-    coordinates in steps of four, added in turn, then the remaining
-    coordinates one at a time.  Below m = 8 that is :func:`_norm`'s order.
-    Overwrites ``v``.
-    """
+    """Euclidean length of each column of an (m, k) array, summed in the
+    order of scipy's KD-tree distance, so it equals the tree's distance bit
+    for bit: four running sums over the coordinates in steps of four, added
+    in turn, then the remaining coordinates one at a time (below m = 8, the
+    coordinates in order)."""
     m = v.shape[0]
-    sq = np.multiply(v, v, out=v)
-    head = m - m % 4
-    if head:
-        acc = sq[:4]
-        for i in range(4, head, 4):
-            acc += sq[i:i + 4]
-        s = acc[0] + acc[1] + acc[2] + acc[3]
-    else:
-        s = sq[0].copy()  # squares are >= +0, so 0 + sq[0] is sq[0]
-        head = 1
-    for i in range(head, m):
+    if m == 1:  # exact where sqrt(x*x) underflows (|x| < ~1e-154), and ~7x faster
+        return np.abs(v[0])
+    sq, head = v * v, max(4, m - m % 4)
+    for i in range(4, head, 4):
+        sq[:4] += sq[i:i + 4]
+    s = sq[0]
+    for i in (*range(1, min(4, m)), *range(head, m)):
         s += sq[i]
     return np.sqrt(s, out=s)
 
@@ -828,9 +816,10 @@ def antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
     heap pops it, until a full split would pass n; then the top word gives
     way to only its n - |Gamma| + 1 highest-priority children.  a* is the
     measure's mean, the fixed point of a -> sum_i p_i f_i(a), for every r.
-    Each point is a* pushed through the word's maps, rightmost first, as
-    :func:`~qdim.ifs.compose_word` composes them, one batch per map and
-    position.  Returns the points in word order.
+    The words, right-padded with 0, compose in one
+    :func:`~qdim.ifs.compose_words` call, and each composed map sends a*
+    as :meth:`~qdim.ifs.Similitude.apply` would.  Returns the points in
+    word order.
 
     Raises
     ------
@@ -841,25 +830,21 @@ def antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
     if k == 1 and n > 1:
         raise DegenerateFit(f"a one-map system has no antichain of {n} words")
     q = [float(p) * f.scale ** r for p, f in zip(wifs.probs, wifs.maps)]
-    children = sorted(range(k), key=lambda i: (-q[i], i))
+    children = sorted(range(1, k + 1), key=lambda i: (-q[i - 1], i))
     heap: list[tuple[float, tuple[int, ...]]] = [(-1.0, ())]
     while len(heap) < n:
         neg, word = heapq.heappop(heap)
         for i in children[:min(k, n - len(heap))]:
-            heapq.heappush(heap, (neg * q[i], word + (i,)))
+            heapq.heappush(heap, (neg * q[i - 1], word + (i,)))
     words = sorted(word for _, word in heap)
 
-    drift = sum(p * f.scale * f.isometry for p, f in zip(wifs.probs, wifs.maps))
-    mean = np.linalg.solve(np.eye(m) - drift,
-                           sum(p * f.translation for p, f in zip(wifs.probs, wifs.maps)))
+    s, iso, t = stack_maps(wifs.maps)
+    drift = np.sum((wifs.probs * s)[:, None, None] * iso, axis=0)
+    mean = np.linalg.solve(np.eye(m) - drift, np.sum(wifs.probs[:, None] * t, axis=0))
     depth = max(map(len, words))
-    symbols = np.array([w + (-1,) * (depth - len(w)) for w in words])
-    code = np.tile(mean, (n, 1))
-    for j in range(depth - 1, -1, -1):
-        for i, f in enumerate(wifs.maps):
-            at = symbols[:, j] == i
-            code[at] = f.apply(code[at])
-    return code
+    symbols = np.reshape([w + (0,) * (depth - len(w)) for w in words], (n, depth))
+    scale, lin, tr = compose_words(wifs, symbols)
+    return mean @ (scale[:, None, None] * lin).transpose(0, 2, 1) + tr
 
 
 def optimize_codebook(samples: SampleSet, n: int, r: float,

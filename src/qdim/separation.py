@@ -15,6 +15,7 @@ issued when it survives the floating-point dust.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,10 +61,10 @@ class SeparationReport:
 
     ``witness`` is the tuple of verified image boxes when the condition is
     satisfied, the offending pair of map indices (0-based) when violated,
-    and the first guard-close pair as a diagnostic when unknown.
-    ``min_gap`` is the smallest pairwise Euclidean gap between image boxes
-    (infinity for a single map); it is positive exactly when the hull-based
-    strong-separation certificate holds.
+    and the first pair too close to certify as a diagnostic when unknown.
+    ``min_gap`` is the raw smallest pairwise Euclidean gap between image
+    boxes (infinity for a single map); the strong-separation certificate
+    needs more than ``2 * GUARD`` (see :func:`_family_gaps`).
     """
 
     condition: Condition
@@ -72,9 +73,22 @@ class SeparationReport:
     min_gap: float
 
 
-def _validate_family(maps, box: Box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scales (k,) and image corners (k, m) of the family, after checking
-    that every image stays in K."""
+def _family_gaps(maps, box: Box) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, list[tuple[int, int]]]:
+    """Scales (k,) and image corners (k, m) of the family, the smallest
+    pairwise Euclidean gap between the images (infinite for one map) and
+    the pairs i < j too close to certify apart, in lexicographic order.
+
+    An image may leave K by up to the slack.  If delta is the most any
+    does and s the largest scale, K grown by eps = delta / (1 - sqrt(m) s)
+    on every side is invariant: a map grows its image enclosure by
+    s |R| 1 eps <= sqrt(m) s eps per coordinate (a row of |R| sums to at
+    most sqrt(m)), so the images of the grown K stay within
+    delta + sqrt(m) s eps = eps of K.  The attractor lies in the grown K,
+    so a pair's images of it are at least the gap less 2 sqrt(m) s eps per
+    coordinate apart, the gap less 2 m s eps in all.  A pair is certified
+    apart when its gap exceeds ``2 * GUARD`` plus that; none is when
+    delta > 0 and sqrt(m) s >= 1.
+    """
     maps = tuple(maps)
     if not maps:
         raise ValueError("need at least one map")
@@ -88,24 +102,25 @@ def _validate_family(maps, box: Box) -> tuple[np.ndarray, np.ndarray, np.ndarray
         k = int(leaves.argmax())
         raise InvalidInvariantSet(f"K is not invariant: image of map {k} leaves K "
                                   f"(image [{lo[k]}, {hi[k]}] vs K [{box.lo}, {box.hi}])")
-    return scale, lo, hi
-
-
-def _pairwise_gaps(lo: np.ndarray, hi: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
-    """Smallest pairwise Euclidean gap between the image boxes (infinite for
-    one box) and the guard-close pairs i < j, in lexicographic order."""
+    delta = float(np.max(np.maximum(box.lo - lo, hi - box.hi), initial=0.0))
+    grow, need = math.sqrt(box.dim) * float(scale.max()), 2.0 * GUARD
+    if delta > 0.0:
+        need += 2.0 * math.sqrt(box.dim) * grow * delta / (1.0 - grow) if grow < 1.0 else math.inf
     gap = box_gaps(lo[:, None], hi[:, None], lo, hi)
     np.fill_diagonal(gap, np.inf)
-    return float(gap.min()), [(int(i), int(j)) for i, j in np.argwhere(np.triu(gap <= 2.0 * GUARD))]
+    close = [(int(i), int(j)) for i, j in np.argwhere(np.triu(gap <= need, 1))]
+    return scale, lo, hi, float(gap.min()), close
 
 
 def check_ssc(maps, box: Box) -> SeparationReport:
     """Strong-separation check for a family of maps on an invariant set K.
 
     Satisfied when all pairwise image boxes are disjoint beyond the guard
-    band; the reported ``min_gap`` is the raw smallest gap.  Violated, in
-    1-d only, when the images cover K: the witness is the first pair whose
-    images overlap by more than ``2 * GUARD``.  Unknown otherwise.
+    band, grown by the allowance for images that leave K within the slack
+    (:func:`_family_gaps`); the reported ``min_gap`` is the raw smallest
+    gap.  Violated, in 1-d only, when the images cover K: the witness is
+    the first pair whose images overlap by more than ``2 * GUARD``.
+    Unknown otherwise.
 
     The cover rule: sorted by left end, each image interval overlaps the
     reach of the earlier ones by more than ``2 * GUARD``, and together they
@@ -129,8 +144,7 @@ def check_ssc(maps, box: Box) -> SeparationReport:
     InvalidInvariantSet
         when some image leaves K (beyond a 1e-9 slack).
     """
-    scale, lo, hi = _validate_family(maps, box)
-    min_gap, close_pairs = _pairwise_gaps(lo, hi)
+    scale, lo, hi, min_gap, close_pairs = _family_gaps(maps, box)
     if not close_pairs:
         return SeparationReport(Condition.SSC, Status.SATISFIED, tuple(map(Box, lo, hi)), min_gap)
     if box.dim == 1:
@@ -154,8 +168,7 @@ def check_osc_sufficient(maps, box: Box) -> SeparationReport:
     endpoints allowed - and stay inside K.  Everything else is UNKNOWN:
     failing this sufficient test proves nothing.
     """
-    _, lo, hi = _validate_family(maps, box)
-    min_gap, close_pairs = _pairwise_gaps(lo, hi)
+    _, lo, hi, min_gap, close_pairs = _family_gaps(maps, box)
     if not close_pairs:
         return SeparationReport(Condition.OSC, Status.SATISFIED, tuple(map(Box, lo, hi)), min_gap)
 

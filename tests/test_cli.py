@@ -18,7 +18,7 @@ import pytest
 
 import qdim
 from qdim.cli import main
-from qdim.ifs import WIFS, Similitude, similitude_1d, wifs_to_json_obj
+from qdim.ifs import WIFS, Similitude, compose_words, similitude_1d, wifs_to_json_obj
 from qdim.instances import cantor, quarter_maps, uniform_halves
 from qdim.measures import DiscreteMeasure, measure_to_csv
 from qdim.quantize import chaos_game
@@ -228,6 +228,25 @@ def test_check_sep_words_with_symbols_above_nine(tmp_path, capsys):
     assert obj["members"] == ["12.", "1.12", "11"] and obj["status"] == "Satisfied"
     assert obj["images"][0]["lo"] == [11 / 12]
     assert obj["images"][1]["lo"] == [(11 / 12) / 24]
+
+
+def test_check_sep_composes_ragged_words_in_one_call(tmp_path, monkeypatch, capsys):
+    # words of lengths 1, 2 and 3, right-padded with 0, in one compose_words call
+    w = quarter_maps(0.2)
+    path = tmp_path / "t02.json"
+    path.write_text(json.dumps(wifs_to_json_obj(w)))
+    calls = []
+
+    def counted(wifs, symbols):
+        calls.append(np.asarray(symbols).tolist())
+        return compose_words(wifs, symbols)
+
+    monkeypatch.setattr(qdim.cli, "compose_words", counted)
+    assert main(["check-sep", "--wifs", str(path), "--words", "3,21,111"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert calls == [[[3, 0, 0], [2, 1, 0], [1, 1, 1]]]
+    assert obj["members"] == ["3", "21", "111"] and obj["status"] == "Satisfied"
+    assert obj["images"][2]["hi"] == [1 / 64]
 
 
 def test_check_sep_refuses_a_map_that_expands_boxes(tmp_path, capsys):
@@ -605,6 +624,43 @@ def test_non_finite_numbers_are_refused(wifs_files, measure_files, capsys, flags
         argv = flags + ["--wifs", wifs_files["cantor"], "--r", "2", "--samples", "4000", "--seed", "1"]
     assert main(argv) == 2
     assert f"error: {field}: expected finite numbers" in capsys.readouterr().err
+
+
+_SAMPLED = ["--wifs", "{cantor}", "--r", "2", "--samples", "1000"]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["measure", "--op", "translate", "--a", "{mu}"], "x"),
+    (["measure", "--op", "mix", "--a", "{mu}", "--b", "{mu}"], "alpha"),
+    (["measure", "--op", "box-mass", "--a", "{mu}"], "box-lo"),
+    (["measure", "--op", "box-mass", "--a", "{mu}", "--box-lo", "0,0", "--box-hi", "1,1"], "box-lo"),
+    (["dim", "--wifs", "{cantor}", "--r-grid", ""], "r-grid"),
+    (["dim", "--wifs", "{cantor}", "--r-grid", "1,two"], "r-grid"),
+    (["estimate", *_SAMPLED, "--seed", "1", "--n-list", "2.5"], "n-list"),
+    (["check-sep", "--wifs", "{cantor}", "--words", "1x"], "words"),
+    (["check-sep", "--wifs", "{cantor}", "--words", "1.x"], "words"),
+    (["quantize", *_SAMPLED, "--seed", "-1", "--n", "4"], "seed"),
+    (["estimate", *_SAMPLED, "--seed", "-1", "--n-list", "2,4"], "seed"),
+], ids=["translate-without-x", "mix-without-alpha", "box-mass-without-corners",
+        "box-mass-corner-length", "empty-r-grid", "non-numeric-r-grid", "fractional-n-list",
+        "unparsable-word", "unparsable-dotted-word", "quantize-negative-seed",
+        "estimate-negative-seed"])
+def test_invalid_input_exits_2_naming_the_field(wifs_files, measure_files, capsys, argv, field):
+    paths = {"cantor": wifs_files["cantor"], "mu": measure_files[0]}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
+def test_failed_allocation_is_a_runtime_error(wifs_files, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(qdim.cli, "chaos_game", refuse)
+    assert main(["quantize", "--wifs", wifs_files["cantor"], "--n", "4", "--r", "2",
+                 "--samples", "100000000000", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "runtime error: Unable to allocate 745. GiB\n"
 
 
 def test_measure_convolve(measure_files, capsys):

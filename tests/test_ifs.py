@@ -19,6 +19,7 @@ from qdim.ifs import (
     WIFS,
     Similitude,
     Word,
+    _word_weights,
     attractor_hull,
     box_images,
     build_sub_wifs,
@@ -194,9 +195,29 @@ def test_compose_words_equals_the_per_word_fold_bit_for_bit(name):
                 assert one_lo.tobytes() == lo[k].tobytes() and one_hi.tobytes() == hi[k].tobytes()
 
 
+@pytest.mark.parametrize("name", ["1-d reflections", "90-degree rotation", "0.7 rad rotation",
+                                  "R^3 orthogonal maps"])
+def test_right_padded_words_equal_their_unpadded_rows_bit_for_bit(name):
+    # a ragged list of words, right-padded with 0, composes in one call
+    w = dict(_batch_systems())[name]
+    words = [p for level in range(5) for p in itertools.product(range(1, w.n_maps + 1), repeat=level)]
+    symbols = np.array([word + (0,) * (5 - len(word)) for word in words])
+    scale, lin, tr = compose_words(w, symbols)
+    weights = _word_weights(w, symbols)
+    for level in range(5):
+        same = [k for k, word in enumerate(words) if len(word) == level]
+        ref = compose_words(w, symbols[same, :level])
+        assert scale[same].tobytes() == ref[0].tobytes(), level
+        assert lin[same].tobytes() == ref[1].tobytes(), level
+        assert tr[same].tobytes() == ref[2].tobytes(), level
+        # padding weighs 1: each weight is the unpadded word's product
+        ref_weights = np.array([per_word.word_weight(w, words[k]) for k in same])
+        assert weights[same].tobytes() == ref_weights.tobytes(), level
+
+
 def test_compose_words_refuses_symbols_outside_the_maps():
     w = cantor()
-    for bad in ([[1, 3]], [[0, 1]], [[2], [-1]]):
+    for bad in ([[1, 3]], [[0, 1]], [[2], [-1]], [[1, 0, 2]]):
         with pytest.raises(InvalidWord):
             compose_words(w, bad)
 

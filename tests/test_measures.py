@@ -185,6 +185,11 @@ def test_dl_known_values():
     assert dl(mu, mu) == 0.0
 
 
+def test_dl_of_one_shared_atom_is_zero():
+    # the merged grid holds one point, so there is no interval to integrate
+    assert dl(dirac([0.25]), dirac([0.25])) == 0.0
+
+
 def test_dl_requires_probability():
     mu = _measure([[0.0]], [2.0])
     with pytest.raises(NotNormalized):
@@ -310,6 +315,8 @@ def test_box_mass_on_point_clouds():
     pts = np.array([[0.1], [0.2], [0.9]])
     box = Box(np.array([0.0]), np.array([0.5]))
     assert box_mass(pts, box) == pytest.approx(2.0 / 3.0)
+    # a flat array is a cloud of points on the line
+    assert box_mass(pts[:, 0], box) == pytest.approx(2.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------

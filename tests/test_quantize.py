@@ -8,6 +8,7 @@ codebook is known.
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import qdim.quantize as quantize
 from qdim.errors import DegenerateFit
-from qdim.ifs import WIFS, Similitude, Word, attractor_hull, compose_word, similitude_1d
+from qdim.ifs import WIFS, Similitude, Word, attractor_hull, compose_word, compose_words, similitude_1d
 from qdim.instances import cantor, quarter_maps, random_ssc_wifs, uniform_halves
 import scipy.spatial
 from scipy.optimize import minimize
@@ -638,6 +639,19 @@ def test_bounded_assignment_matches_full_query(case):
         np.testing.assert_array_equal(d, want_d)
 
 
+@pytest.mark.parametrize("m", range(1, 12))
+def test_norm_is_the_kd_tree_distance_and_keeps_its_input(m):
+    # the bounded assignment compares it with the tree's distances, in the
+    # tree's summation order (four running sums from m = 8 on)
+    rng = np.random.default_rng(m)
+    x, code = rng.normal(size=(200, m)), rng.normal(size=(5, m))
+    d, idx = cKDTree(code).query(x, k=1)
+    v = code[idx].T - x.T
+    before = v.copy()
+    assert quantize._norm(v).tobytes() == d.tobytes()
+    assert v.tobytes() == before.tobytes()
+
+
 def test_lloyd_two_clusters_exact():
     # two tight clusters, two centers: optimum is the cluster means (r = 2)
     pts = np.concatenate([np.full(50, 0.0), np.full(50, 1.0)])[:, None]
@@ -792,9 +806,9 @@ def _dust():
     return WIFS(maps=maps, probs=(0.4, 0.3, 0.2, 0.1))
 
 
-def _antichain_reference(w, n, r):
-    """Split the top word of a sorted list, one word at a time, and map the
-    mean (found by iterating a -> sum_i p_i f_i(a)) through compose_word."""
+def _antichain_words(w, n, r):
+    """Split the top word of a sorted list, one word at a time; returns the
+    leaves' 0-based words in word order."""
     q = [float(p) * f.scale ** r for p, f in zip(w.probs, w.maps)]
     leaves = [(1.0, ())]
     while len(leaves) < n:
@@ -802,11 +816,37 @@ def _antichain_reference(w, n, r):
         prio, word = leaves.pop(0)
         kids = sorted(range(w.n_maps), key=lambda i: (-q[i], i))[:n - len(leaves)]
         leaves += [(prio * q[i], word + (i,)) for i in kids]
+    return sorted(word for _, word in leaves)
+
+
+def _antichain_reference(w, n, r):
+    """Map the mean (found by iterating a -> sum_i p_i f_i(a)) through
+    compose_word for each word of :func:`_antichain_words`."""
     mean = np.zeros(w.dim)
     for _ in range(200):
         mean = sum(p * f.apply(mean) for p, f in zip(w.probs, w.maps))
     return np.array([compose_word(w, Word(tuple(i + 1 for i in word))).apply(mean)
-                     for word in sorted(word for _, word in leaves)])
+                     for word in _antichain_words(w, n, r)])
+
+
+def _exact_distinct(w, n, r):
+    """How many distinct points the words of :func:`_antichain_words` send
+    the mean to, in exact rational arithmetic, for a 1-d system whose
+    parameters are read as the decimals they print as (0.2 as 1/5)."""
+    def exact(x):
+        return Fraction(repr(float(x)))
+
+    probs = [exact(p) for p in w.probs]
+    maps = [(exact(f.scale) * exact(f.isometry[0, 0]), exact(f.translation[0])) for f in w.maps]
+    mean = (sum(p * t for p, (_, t) in zip(probs, maps))
+            / (1 - sum(p * a for p, (a, _) in zip(probs, maps))))
+    points = set()
+    for word in _antichain_words(w, n, r):
+        x = mean
+        for i in reversed(word):
+            x = maps[i][0] * x + maps[i][1]
+        points.add(x)
+    return len(points)
 
 
 @pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 3.0])
@@ -833,8 +873,22 @@ def test_antichain_codebook_has_exactly_n_points(w, sizes, r):
     for n in sizes:
         code = antichain_codebook(w, n, r)
         assert code.shape == (n, w.dim)
-        assert len(np.unique(code, axis=0)) == n
+        # Distinct words can compose to one map where the images overlap, so
+        # on a line the count is the exact one; the dust is separated.
+        assert len(np.unique(code, axis=0)) == (n if w.dim > 1 else _exact_distinct(w, n, r))
         np.testing.assert_allclose(code, _antichain_reference(w, n, r), rtol=0, atol=1e-14)
+
+
+def test_overlapping_words_give_one_antichain_point():
+    # On quarter_maps(0.2) the words 132 and 211 both compose to x/64 + 1/5,
+    # so the antichains of 16 and 30 words hold 15 and 29 points.
+    w = quarter_maps(0.2)
+    assert [_exact_distinct(w, n, 2.0) for n in (2, 4, 8, 16, 30)] == [2, 4, 8, 15, 29]
+    scale, lin, tr = compose_words(w, [[1, 3, 2], [2, 1, 1]])
+    assert scale.tolist() == [1 / 64] * 2 and tr.tolist() == [[0.2], [0.2]]
+    # on a separated system every word gives its own point
+    assert all(_exact_distinct(random_ssc_wifs(np.random.default_rng(5), n_min=3, n_max=3), n, r) == n
+               for n in (1, 2, 4, 6, 10, 24) for r in (0.0, 2.0))
 
 
 def test_antichain_codebook_of_one_map_cannot_split():

@@ -122,6 +122,28 @@ def test_containment_and_slack():
         check_ssc([similitude_1d(0.5, 0.0), similitude_1d(0.5, 0.5 + 1e-8)], unit)
 
 
+def test_images_leaving_k_within_the_slack_need_a_wider_gap():
+    # Both images leave [0, 1] by less than the slack and sit 3e-10 apart,
+    # yet on the family's own hull [-1e-9, 1 - 4e-10] they touch: K grown
+    # by delta / (1 - s) = 1e-9 is invariant, and the gap must beat
+    # 2 GUARD + 2 s 1e-9.  The reported gap stays the raw one.
+    unit = Box(np.array([0.0]), np.array([1.0]))
+    family = [similitude_1d(0.5, -5e-10), similitude_1d(0.5, 0.5 - 2e-10)]
+    rep = check_ssc(family, unit)
+    assert rep.status is Status.UNKNOWN and rep.witness == (0, 1)
+    assert rep.min_gap == pytest.approx(3e-10, rel=1e-6)
+    hull = attractor_hull(WIFS(maps=tuple(family), probs=(0.5, 0.5)))
+    assert check_ssc(family, hull).status is Status.UNKNOWN
+    # Far enough apart, the same slack still certifies.  In R^2 a scale of
+    # 1/sqrt(2) or more certifies nothing with a slack, and does without.
+    wide = [similitude_1d(0.4, -5e-10), similitude_1d(0.4, 0.6 - 2e-10)]
+    assert check_ssc(wide, unit).status is Status.SATISFIED
+    square = Box(np.zeros(2), np.ones(2))
+    big = [Similitude(0.75, np.eye(2), np.full(2, -1e-10)), Similitude(0.1, np.eye(2), np.full(2, 0.9))]
+    assert check_ssc(big, square).status is Status.UNKNOWN
+    assert check_ssc(big, Box(np.full(2, -1e-9), np.ones(2))).status is Status.SATISFIED
+
+
 @pytest.mark.parametrize("check", [check_ssc, check_osc_sufficient])
 def test_satisfied_witness_holds_the_per_map_images_bit_for_bit(check):
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
