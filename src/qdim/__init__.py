@@ -35,7 +35,6 @@ from .ifs import (
     Word,
     attractor_hull,
     build_sub_wifs,
-    compose_word,
     hutchinson_push,
     similitude_1d,
     wifs_from_json_obj,
@@ -106,7 +105,6 @@ __all__ = [
     "chaos_game",
     "check_osc_sufficient",
     "check_ssc",
-    "compose_word",
     "convolve",
     "d0_dimension",
     "dirac",

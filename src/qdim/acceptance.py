@@ -22,7 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import Box
-from .ifs import WIFS, Similitude, Word, attractor_hull, box_images, build_sub_wifs, compose_words, hutchinson_push, similitude_1d
+from .ifs import (WIFS, Similitude, Word, attractor_hull, box_images, build_sub_wifs, compose_words,
+                  hutchinson_push, point_images, similitude_1d, stack_maps)
 from .instances import (
     cantor,
     four_fifths_shifted,
@@ -177,7 +178,7 @@ def _sub_domination(parent: WIFS, renormalised: bool = False) -> tuple[int, floa
     sub, _ = search_separated_sub_ifs(parent)
     p_w = sub.probs if renormalised else sub.weights
     points = chaos_game(parent, _SAMPLES, seed=SUITE_SEED + 6).points
-    images = [f.apply(points) for f in sub.maps]
+    images = point_images(*stack_maps(sub.maps), points)
     rng = np.random.default_rng(SUITE_SEED + 62)
     violations = 0
     worst = -math.inf

@@ -177,6 +177,8 @@ def _cmd_check_sep(args) -> int:
     hull = attractor_hull(w)
     if args.words:
         words = [_parse_word("words", tok) for tok in args.words.split(",")]
+        if not all(words):
+            raise _Invalid("words", f"empty word in {args.words!r}: each word needs a symbol")
         depth = max(map(len, words))
         rows = [word.symbols + (0,) * (depth - len(word)) for word in words]
         try:

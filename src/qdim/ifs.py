@@ -43,9 +43,9 @@ __all__ = [
     "WIFS",
     "Word",
     "SubWIFS",
-    "compose_word",
     "compose_words",
     "stack_maps",
+    "point_images",
     "box_images",
     "build_sub_wifs",
     "attractor_hull",
@@ -67,9 +67,8 @@ _PROB_TOL = 1e-12
 class Similitude:
     """Contracting similarity ``f(x) = scale * isometry @ x + translation``.
 
-    ``scale`` must lie in (0, 1]; the value 1 is permitted only so that the
-    empty word can compose to the identity, and is rejected by :class:`WIFS`
-    membership.  ``isometry`` must be orthogonal within 1e-12.
+    ``scale`` must lie in (0, 1) and ``isometry`` must be orthogonal within
+    1e-12.
     """
 
     scale: float
@@ -80,8 +79,8 @@ class Similitude:
         scale = float(self.scale)
         iso = np.atleast_2d(np.asarray(self.isometry, dtype=float)).copy()
         tr = np.atleast_1d(np.asarray(self.translation, dtype=float)).copy()
-        if not 0.0 < scale <= 1.0:
-            raise ValueError(f"scale must lie in (0, 1], got {scale!r}")
+        if not 0.0 < scale < 1.0:
+            raise ValueError(f"scale must lie in (0, 1), got {scale!r}")
         m = tr.shape[0]
         if iso.shape != (m, m):
             raise DimensionError(f"isometry shape {iso.shape} does not match translation in R^{m}")
@@ -102,11 +101,6 @@ class Similitude:
     def dim(self) -> int:
         return self.translation.shape[0]
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Apply the map to one point (m,) or a batch (k, m)."""
-        p = np.asarray(points, dtype=float)
-        return p @ (self.scale * self.isometry.T) + self.translation
-
 
 def similitude_1d(scale: float, offset: float, orientation: int = 1) -> Similitude:
     """Convenience constructor for ``f(x) = orientation * scale * x + offset``."""
@@ -124,9 +118,9 @@ def similitude_1d(scale: float, offset: float, orientation: int = 1) -> Similitu
 class WIFS:
     """Weighted IFS: contracting similitudes plus a probability vector.
 
-    Invariants enforced at construction: at least one map, every scale
-    strictly below 1, all probabilities strictly positive and summing to 1
-    within 1e-12, and a common ambient dimension.
+    Invariants enforced at construction: at least one map (each contracts,
+    as every :class:`Similitude` does), all probabilities strictly positive
+    and summing to 1 within 1e-12, and a common ambient dimension.
     """
 
     maps: tuple[Similitude, ...]
@@ -142,13 +136,11 @@ class WIFS:
         dims = {f.dim for f in maps}
         if len(dims) != 1:
             raise DimensionError(f"maps live in different ambient dimensions: {sorted(dims)}")
-        for k, f in enumerate(maps):
-            if f.scale >= 1.0:
-                raise ValueError(f"map {k + 1} has scale {f.scale!r}; WIFS maps must contract")
         if np.any(probs <= 0.0):
             raise ValueError("probabilities must be strictly positive")
-        if abs(math.fsum(probs.tolist()) - 1.0) > _PROB_TOL:
-            raise ValueError(f"probabilities sum to {math.fsum(probs.tolist())!r}, not 1")
+        total = math.fsum(probs.tolist())
+        if not abs(total - 1.0) <= _PROB_TOL:  # written so that a NaN fails
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
         probs.flags.writeable = False
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "probs", probs)
@@ -243,7 +235,8 @@ def compose_words(wifs: WIFS, symbols) -> tuple[np.ndarray, np.ndarray, np.ndarr
         raise InvalidWord(f"symbol {symbols[bad][0]} lies outside the maps 1..{wifs.n_maps} "
                           "(0 pads a word on the right only)")
     k, m = symbols.shape[0], wifs.dim
-    scales, isos, trs = stack_maps((Similitude(1.0, np.eye(m), np.zeros(m)),) + wifs.maps)
+    scales, isos, trs = (np.concatenate([[pad], table])
+                         for pad, table in zip((1.0, np.eye(m), np.zeros(m)), stack_maps(wifs.maps)))
     scale, lin, tr = np.ones(k), np.tile(np.eye(m), (k, 1, 1)), np.zeros((k, m))
     for col in symbols.T:
         tr = ((scale[:, None, None] * lin) @ trs[col][:, :, None])[:, :, 0] + tr
@@ -262,20 +255,19 @@ def _word_weights(wifs: WIFS, symbols: np.ndarray) -> np.ndarray:
     return weight
 
 
+def point_images(scale: np.ndarray, lin: np.ndarray, tr: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Images (k, n, m) of n points (n, m) under each of the k maps
+    ``x -> scale R x + t``, taken on row vectors as ``p @ (scale R^T) + t``."""
+    return points @ (scale[:, None, None] * lin.transpose(0, 2, 1)) + tr[:, None, :]
+
+
 def box_images(scale: np.ndarray, lin: np.ndarray, tr: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Corners (k, m) of the axis-aligned enclosures of the images of ``box``
     under the maps ``x -> scale R x + t``: exact when R is a signed
     permutation (always in 1-d), else the smallest box around the image."""
-    c = box.center @ (scale[:, None, None] * lin.transpose(0, 2, 1)) + tr
+    c = point_images(scale, lin, tr, box.center[None])[:, 0]
     h = scale[:, None] * (np.abs(lin) @ box.halfwidth)
     return c - h, c + h
-
-
-def compose_word(wifs: WIFS, word: Word) -> Similitude:
-    """The map of a word (one row of :func:`compose_words`); the empty word
-    gives the identity (scale 1), a valid Similitude but no WIFS member."""
-    scale, lin, tr = compose_words(wifs, [word.symbols])
-    return Similitude(scale[0], lin[0], tr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +415,8 @@ def hutchinson_push(mu: DiscreteMeasure, wifs: WIFS) -> DiscreteMeasure:
     """
     if mu.dim != wifs.dim:
         raise DimensionError(f"measure in R^{mu.dim}, system in R^{wifs.dim}")
-    locs = np.vstack([f.apply(mu.atoms) for f in wifs.maps])
-    wts = np.concatenate([p * mu.weights for p in wifs.probs])
-    return DiscreteMeasure(locs, wts)
+    locs = point_images(*stack_maps(wifs.maps), mu.atoms).reshape(-1, wifs.dim)
+    return DiscreteMeasure(locs, (wifs.probs[:, None] * mu.weights).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit
-from .ifs import WIFS, attractor_hull, compose_words, stack_maps
+from .ifs import WIFS, attractor_hull, compose_words, point_images, stack_maps
 from .util import parallel_map
 
 __all__ = [
@@ -817,9 +817,9 @@ def antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
     way to only its n - |Gamma| + 1 highest-priority children.  a* is the
     measure's mean, the fixed point of a -> sum_i p_i f_i(a), for every r.
     The words, right-padded with 0, compose in one
-    :func:`~qdim.ifs.compose_words` call, and each composed map sends a*
-    as :meth:`~qdim.ifs.Similitude.apply` would.  Returns the points in
-    word order.
+    :func:`~qdim.ifs.compose_words` call, and one
+    :func:`~qdim.ifs.point_images` call sends a* through the composed maps.
+    Returns the points in word order.
 
     Raises
     ------
@@ -844,7 +844,7 @@ def antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
     depth = max(map(len, words))
     symbols = np.reshape([w + (0,) * (depth - len(w)) for w in words], (n, depth))
     scale, lin, tr = compose_words(wifs, symbols)
-    return mean @ (scale[:, None, None] * lin).transpose(0, 2, 1) + tr
+    return point_images(scale, lin, tr, mean[None])[:, 0]
 
 
 def optimize_codebook(samples: SampleSet, n: int, r: float,

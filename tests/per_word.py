@@ -1,10 +1,11 @@
 """Per-word references for the batched word kernels.
 
 These are the one-word-at-a-time forms that ``qdim.ifs.compose_words``,
-``qdim.ifs.box_images``, ``qdim.geometry.box_gaps``, the sub-IFS search,
-the hull's and the separation checks' per-map images and the word weight
-replaced.  They stay here as oracles: the batched results must equal them
-bit for bit.
+``qdim.ifs.point_images``, ``qdim.ifs.box_images``,
+``qdim.geometry.box_gaps``, the sub-IFS search, the hull's and the
+separation checks' per-map images, the Hutchinson push and the word
+weight replaced.  They stay here as oracles: the batched results must
+equal them bit for bit.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import itertools
 import numpy as np
 
 from qdim.ifs import Word, attractor_hull, build_sub_wifs
+from qdim.measures import DiscreteMeasure
 from qdim.separation import GUARD, check_ssc
 
 
@@ -25,9 +27,22 @@ def fold_word(wifs, symbols):
     return scale, iso, tr
 
 
+def apply(scale, iso, tr, points):
+    """One map's image of a point (m,) or of points (n, m), as
+    ``p @ (s R^T) + t``."""
+    return points @ (scale * iso.T) + tr
+
+
+def push(mu, wifs):
+    """The Hutchinson push of a discrete measure, one map at a time: each
+    map's image block in map order, weighted by its probability."""
+    locs = np.vstack([apply(f.scale, f.isometry, f.translation, mu.atoms) for f in wifs.maps])
+    return DiscreteMeasure(locs, np.concatenate([p * mu.weights for p in wifs.probs]))
+
+
 def box_image(scale, iso, tr, box):
     """Corners of the axis-aligned enclosure of one map's image of ``box``."""
-    c = box.center @ (scale * iso.T) + tr
+    c = apply(scale, iso, tr, box.center)
     h = scale * (np.abs(iso) @ box.halfwidth)
     return c - h, c + h
 

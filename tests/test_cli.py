@@ -143,6 +143,26 @@ def test_wifs_file_needs_a_positive_integer_ambient_dim(tmp_path, capsys, ambien
     assert "error: wifs" in err and "'ambient_dim' must be a positive integer" in err
 
 
+_COMMANDS = [["dim", "--r", "2"], ["check-sep"], ["subifs-search"],
+             ["quantize", "--r", "2", "--samples", "1000", "--seed", "1", "--n", "4"],
+             ["estimate", "--r", "2", "--samples", "1000", "--seed", "1", "--n-list", "2,4"]]
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=[c[0] for c in _COMMANDS])
+@pytest.mark.parametrize("mutate,field", [
+    (lambda o: o.__setitem__("probs", [math.nan, 0.5]), "probs"),
+    (lambda o: o["maps"][0].__setitem__("scale", 1.0), "maps[0]"),
+], ids=["nan-prob", "scale-1"])
+def test_invalid_wifs_file_exits_2_naming_the_field(tmp_path, capsys, command, mutate, field):
+    obj = wifs_to_json_obj(cantor())
+    mutate(obj)
+    path = tmp_path / "cantor.json"
+    path.write_text(json.dumps(obj))  # json writes NaN, and reads it back
+    assert main([command[0], "--wifs", str(path)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: wifs: ") and f"field '{field}' is invalid" in err
+
+
 def test_argparse_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dim"])
@@ -639,12 +659,14 @@ _SAMPLED = ["--wifs", "{cantor}", "--r", "2", "--samples", "1000"]
     (["estimate", *_SAMPLED, "--seed", "1", "--n-list", "2.5"], "n-list"),
     (["check-sep", "--wifs", "{cantor}", "--words", "1x"], "words"),
     (["check-sep", "--wifs", "{cantor}", "--words", "1.x"], "words"),
+    (["check-sep", "--wifs", "{cantor}", "--words", "11,"], "words"),
+    (["check-sep", "--wifs", "{cantor}", "--words", ","], "words"),
     (["quantize", *_SAMPLED, "--seed", "-1", "--n", "4"], "seed"),
     (["estimate", *_SAMPLED, "--seed", "-1", "--n-list", "2,4"], "seed"),
 ], ids=["translate-without-x", "mix-without-alpha", "box-mass-without-corners",
         "box-mass-corner-length", "empty-r-grid", "non-numeric-r-grid", "fractional-n-list",
-        "unparsable-word", "unparsable-dotted-word", "quantize-negative-seed",
-        "estimate-negative-seed"])
+        "unparsable-word", "unparsable-dotted-word", "trailing-empty-word", "only-empty-words",
+        "quantize-negative-seed", "estimate-negative-seed"])
 def test_invalid_input_exits_2_naming_the_field(wifs_files, measure_files, capsys, argv, field):
     paths = {"cantor": wifs_files["cantor"], "mu": measure_files[0]}
     assert main([arg.format(**paths) for arg in argv]) == 2

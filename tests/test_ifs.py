@@ -1,7 +1,7 @@
 """Similitudes, word composition, sub-systems, hulls, and serialization.
 
 The composition convention is the load-bearing contract here: a word acts
-with its rightmost symbol first, so ``compose_word(w, "21") = f2 o f1``.
+with its rightmost symbol first, so the word "21" composes to f2 o f1.
 Several tests pin that down with hand-computed images before the property
 tests take over.
 """
@@ -23,16 +23,16 @@ from qdim.ifs import (
     attractor_hull,
     box_images,
     build_sub_wifs,
-    compose_word,
     compose_words,
     hutchinson_push,
+    point_images,
     similitude_1d,
     stack_maps,
     wifs_from_json_obj,
     wifs_to_json_obj,
 )
 from qdim.instances import cantor, four_fifths_shifted, quarter_maps
-from qdim.measures import dirac
+from qdim.measures import DiscreteMeasure, dirac
 
 import per_word
 
@@ -42,10 +42,15 @@ import per_word
 # ---------------------------------------------------------------------------
 
 
+def _image(f, points):
+    """One map's image of points (n, m), through a one-row point_images call."""
+    return point_images(*stack_maps([f]), points)[0]
+
+
 def test_apply_is_affine_with_ratio():
     f = similitude_1d(0.25, 0.75)
     x = np.array([[0.0], [1.0], [-2.0]])
-    np.testing.assert_allclose(f.apply(x), [[0.75], [1.0], [0.25]])
+    np.testing.assert_allclose(_image(f, x), [[0.75], [1.0], [0.25]])
 
 
 def test_similarity_ratio_holds_in_2d():
@@ -54,8 +59,14 @@ def test_similarity_ratio_holds_in_2d():
     f = Similitude(scale=0.6, isometry=rot, translation=np.array([1.0, -1.0]))
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=(2, 2))
-    lhs = np.linalg.norm(f.apply(x[None])[0] - f.apply(y[None])[0])
+    lhs = np.linalg.norm(_image(f, x[None])[0] - _image(f, y[None])[0])
     assert lhs == pytest.approx(0.6 * np.linalg.norm(x - y), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5, 0.0, -0.5, math.nan])
+def test_similitude_requires_a_scale_in_the_open_unit_interval(scale):
+    with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\)"):
+        Similitude(scale, np.eye(1), np.zeros(1))
 
 
 def test_non_orthogonal_isometry_rejected():
@@ -69,7 +80,7 @@ def test_orientation_flag():
     assert similitude_1d(0.5, 0.0).isometry.tolist() == [[1.0]]
     f = similitude_1d(0.5, 1.0, orientation=-1)
     assert f.isometry.tolist() == [[-1.0]]
-    np.testing.assert_array_equal(f.apply(np.array([[0.0], [1.0]])), [[1.0], [0.5]])
+    np.testing.assert_array_equal(_image(f, np.array([[0.0], [1.0]])), [[1.0], [0.5]])
     with pytest.raises(ValueError):
         similitude_1d(0.5, 0.0, orientation=0)
 
@@ -77,10 +88,10 @@ def test_orientation_flag():
 def test_compose_scales_multiply():
     f = similitude_1d(0.5, 1.0)
     g = similitude_1d(0.25, -1.0)
-    h = compose_word(WIFS(maps=(f, g), probs=(0.5, 0.5)), Word.parse("12"))  # f o g
-    assert h.scale == 0.125
+    scale, lin, tr = compose_words(WIFS(maps=(f, g), probs=(0.5, 0.5)), [[1, 2]])  # f o g
+    assert scale[0] == 0.125
     x = np.array([[0.3]])
-    np.testing.assert_allclose(h.apply(x), f.apply(g.apply(x)))
+    np.testing.assert_allclose(point_images(scale, lin, tr, x)[0], _image(f, _image(g, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +126,16 @@ def test_word_parse_rejects(bad):
 
 def test_compose_word_cantor_12():
     # "12" = f1 o f2: x -> (x/3 + 2/3)/3 = x/9 + 2/9
-    f = compose_word(cantor(), Word.parse("12"))
-    assert f.scale == pytest.approx(1.0 / 9.0, rel=1e-15)
-    assert f.translation[0] == pytest.approx(2.0 / 9.0, rel=1e-15)
+    scale, _, tr = compose_words(cantor(), [Word.parse("12").symbols])
+    assert scale[0] == pytest.approx(1.0 / 9.0, rel=1e-15)
+    assert tr[0, 0] == pytest.approx(2.0 / 9.0, rel=1e-15)
 
 
 def test_compose_word_quarter_21():
     # "21" = f2 o f1: x -> (x/4)/4 + 0.2 = x/16 + 0.2 -- rightmost acts first
-    f = compose_word(quarter_maps(0.2), Word.parse("21"))
-    assert f.scale == 0.0625
-    assert f.translation[0] == 0.2
+    scale, _, tr = compose_words(quarter_maps(0.2), [Word.parse("21").symbols])
+    assert scale[0] == 0.0625
+    assert tr[0, 0] == 0.2
 
 
 def test_compose_word_matches_sequential_application():
@@ -134,17 +145,18 @@ def test_compose_word_matches_sequential_application():
     for _ in range(20):
         length = int(rng.integers(1, 5))
         syms = tuple(int(s) for s in rng.integers(1, 4, size=length))
-        word = Word(syms)
         expected = pts
         for s in reversed(syms):  # rightmost symbol acts first
-            expected = w.maps[s - 1].apply(expected)
-        np.testing.assert_allclose(compose_word(w, word).apply(pts), expected, atol=1e-14)
+            f = w.maps[s - 1]
+            expected = per_word.apply(f.scale, f.isometry, f.translation, expected)
+        np.testing.assert_allclose(point_images(*compose_words(w, [syms]), pts)[0], expected, atol=1e-14)
 
 
 def test_empty_word_is_identity():
-    f = compose_word(cantor(), Word(()))
-    assert f.scale == 1.0
-    np.testing.assert_array_equal(f.apply(np.array([[0.37]])), [[0.37]])
+    # the empty word composes to scale 1: a row of compose_words, not a Similitude
+    scale, lin, tr = compose_words(cantor(), np.zeros((1, 0), dtype=int))
+    assert scale.tolist() == [1.0]
+    np.testing.assert_array_equal(point_images(scale, lin, tr, np.array([[0.37]]))[0], [[0.37]])
 
 
 def _rotation(angle):
@@ -189,9 +201,9 @@ def test_compose_words_equals_the_per_word_fold_bit_for_bit(name):
                 assert ref[1].tobytes() == lin[k].tobytes(), word
                 assert ref[2].tobytes() == tr[k].tobytes(), word
                 assert ref_lo.tobytes() == lo[k].tobytes() and ref_hi.tobytes() == hi[k].tobytes(), word
-                f = compose_word(w, Word(word))
-                assert f.isometry.tobytes() == lin[k].tobytes() and f.translation.tobytes() == tr[k].tobytes()
-                one_lo, one_hi = box_images(*stack_maps([f]), hull)
+                one = compose_words(w, np.reshape(word, (1, len(word))))
+                assert one[1].tobytes() == lin[k:k + 1].tobytes() and one[2].tobytes() == tr[k:k + 1].tobytes()
+                one_lo, one_hi = box_images(*one, hull)
                 assert one_lo.tobytes() == lo[k].tobytes() and one_hi.tobytes() == hi[k].tobytes()
 
 
@@ -251,10 +263,27 @@ def test_one_image_call_equals_the_per_map_images_bit_for_bit(name):
     # family in one box_images call
     w = dict(_batch_systems())[name]
     hull = attractor_hull(w)
-    for maps in (w.maps, [compose_word(w, Word(p)) for p in itertools.product(range(1, w.n_maps + 1), repeat=2)]):
+    level2 = list(itertools.product(range(1, w.n_maps + 1), repeat=2))
+    for maps in (w.maps, list(map(Similitude, *compose_words(w, level2)))):
         lo, hi = box_images(*stack_maps(maps), hull)
         for k, (ref_lo, ref_hi) in enumerate(per_word.map_images(maps, hull)):
             assert ref_lo.tobytes() == lo[k].tobytes() and ref_hi.tobytes() == hi[k].tobytes(), k
+
+
+@pytest.mark.parametrize("name", ["1-d reflections", "90-degree rotation", "0.7 rad rotation",
+                                  "R^3 orthogonal maps"])
+@pytest.mark.parametrize("n", [1, 2 ** 16])
+def test_point_images_equal_the_per_map_images_bit_for_bit(name, n):
+    w = dict(_batch_systems())[name]
+    points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, w.dim))
+    images = point_images(*stack_maps(w.maps), points)
+    assert images.shape == (w.n_maps, n, w.dim)
+    for k, f in enumerate(w.maps):
+        assert per_word.apply(f.scale, f.isometry, f.translation, points).tobytes() == images[k].tobytes(), k
+    # one point as a (1, m) row, as the box centre and a* are mapped
+    one = point_images(*stack_maps(w.maps), points[0][None])[:, 0]
+    for k, f in enumerate(w.maps):
+        assert per_word.apply(f.scale, f.isometry, f.translation, points[0]).tobytes() == one[k].tobytes(), k
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +300,12 @@ def test_wifs_rejects_expansive_map():
     with pytest.raises(ValueError):
         WIFS(maps=(Similitude(scale=1.0, isometry=np.eye(1), translation=np.zeros(1)),),
              probs=(1.0,))
+
+
+@pytest.mark.parametrize("probs", [(math.nan, 0.5), (math.nan, math.nan), (0.5, math.nan)])
+def test_wifs_rejects_nan_probabilities(probs):
+    with pytest.raises(ValueError, match="sum to nan"):
+        WIFS(maps=cantor().maps, probs=probs)
 
 
 def test_wifs_rejects_mixed_dimensions():
@@ -439,6 +474,28 @@ def test_push_merges_coincident_images():
     assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
 
 
+def _corner_dust(isometry):
+    """Four corner maps of ratio 1/3, the third with the given isometry."""
+    eye = np.eye(2)
+    maps = tuple(Similitude(1 / 3, iso, np.array(t)) for iso, t in
+                 [(eye, [0.0, 0.0]), (eye, [2 / 3, 0.0]), (isometry, [1 / 3, 2 / 3]), (eye, [2 / 3, 2 / 3])])
+    return WIFS(maps=maps, probs=(0.4, 0.3, 0.2, 0.1))
+
+
+@pytest.mark.parametrize("system,start,pushes", [
+    (cantor(probs=(0.3, 0.7)), [[0.37]], 16),
+    (_corner_dust(np.array([[0.0, -1.0], [1.0, 0.0]])), [[0.21, 0.64]], 3),
+    (_corner_dust(np.eye(2)), [[0.21, 0.64]], 3),
+], ids=["cantor-16", "rotated-dust-3", "dust-3"])
+def test_push_equals_the_per_map_push_bit_for_bit(system, start, pushes):
+    mu = ref = DiscreteMeasure(start, [1.0])
+    for step in range(pushes):
+        mu, ref = hutchinson_push(mu, system), per_word.push(ref, system)
+        assert mu.atoms.tobytes() == ref.atoms.tobytes(), step
+        assert mu.weights.tobytes() == ref.weights.tobytes(), step
+    assert mu.size == system.n_maps ** pushes
+
+
 def test_push_iterates_toward_invariant_measure():
     from qdim.measures import dl
 
@@ -483,6 +540,10 @@ def test_json_isometry_defaults_to_identity():
     (lambda o: o["maps"][0].pop("scale"), "scale"),
     (lambda o: o.__setitem__("probs", [0.5]), "probs"),
     (lambda o: o["maps"][0].__setitem__("scale", 1.5), "scale"),
+    # a map that does not contract is blamed on its own entry, not on probs
+    (lambda o: o["maps"][0].__setitem__("scale", 1.0), r"field 'maps\[0\]' is invalid: scale must lie in \(0, 1\)"),
+    (lambda o: o["maps"][1].__setitem__("scale", 1.0), r"field 'maps\[1\]' is invalid: scale must lie in \(0, 1\)"),
+    (lambda o: o.__setitem__("probs", [math.nan, 0.5]), r"field 'probs' is invalid: probabilities sum to nan"),
 ])
 def test_json_errors_name_the_field(mutate, field):
     obj = wifs_to_json_obj(cantor())

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import qdim.quantize as quantize
 from qdim.errors import DegenerateFit
-from qdim.ifs import WIFS, Similitude, Word, attractor_hull, compose_word, compose_words, similitude_1d
+from qdim.ifs import WIFS, Similitude, attractor_hull, compose_words, similitude_1d
 from qdim.instances import cantor, quarter_maps, random_ssc_wifs, uniform_halves
 import scipy.spatial
 from scipy.optimize import minimize
@@ -46,6 +46,8 @@ from qdim.quantize import (
     fit_dimension_from_samples,
     optimize_codebook,
 )
+
+import per_word
 
 
 def _assign(x, code, order=None):
@@ -820,12 +822,13 @@ def _antichain_words(w, n, r):
 
 
 def _antichain_reference(w, n, r):
-    """Map the mean (found by iterating a -> sum_i p_i f_i(a)) through
-    compose_word for each word of :func:`_antichain_words`."""
+    """Map the mean (found by iterating a -> sum_i p_i f_i(a)) through the
+    per-word fold of each word of :func:`_antichain_words`."""
     mean = np.zeros(w.dim)
     for _ in range(200):
-        mean = sum(p * f.apply(mean) for p, f in zip(w.probs, w.maps))
-    return np.array([compose_word(w, Word(tuple(i + 1 for i in word))).apply(mean)
+        mean = sum(p * per_word.apply(f.scale, f.isometry, f.translation, mean)
+                   for p, f in zip(w.probs, w.maps))
+    return np.array([per_word.apply(*per_word.fold_word(w, [i + 1 for i in word]), mean)
                      for word in _antichain_words(w, n, r)])
 
 

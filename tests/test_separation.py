@@ -13,7 +13,7 @@ import pytest
 from qdim import separation
 from qdim.errors import InvalidInvariantSet
 from qdim.geometry import Box
-from qdim.ifs import WIFS, Similitude, Word, attractor_hull, compose_word, similitude_1d
+from qdim.ifs import WIFS, Similitude, Word, attractor_hull, compose_words, similitude_1d
 from qdim.instances import cantor, quarter_maps, random_ssc_wifs, uniform_halves
 from qdim.separation import (
     GUARD,
@@ -39,9 +39,14 @@ def t02():
 # ---------------------------------------------------------------------------
 
 
+def _level2_family(w):
+    """The maps of the words 11, 21 and 31, from one compose_words call."""
+    return list(map(Similitude, *compose_words(w, [Word.parse(s).symbols for s in ("11", "21", "31")])))
+
+
 def test_level2_words_strongly_separated(t02):
     w, hull = t02
-    fams = [compose_word(w, Word.parse(s)) for s in ("11", "21", "31")]
+    fams = _level2_family(w)
     rep = check_ssc(fams, hull)
     assert rep.condition is Condition.SSC
     assert rep.status is Status.SATISFIED
@@ -183,7 +188,7 @@ def test_family_must_map_box_into_itself():
 
 def test_osc_from_ssc(t02):
     w, hull = t02
-    fams = [compose_word(w, Word.parse(s)) for s in ("11", "21", "31")]
+    fams = _level2_family(w)
     rep = check_osc_sufficient(fams, hull)
     assert rep.condition is Condition.OSC
     assert rep.status is Status.SATISFIED
@@ -353,7 +358,7 @@ def test_search_result_is_certified(t02):
     rng = np.random.default_rng(3)
     for word, f in zip(sub.selection, sub.maps):
         base = rng.uniform(0.0, 1.0, size=(64, 1))
-        pts[str(word)] = f.apply(base)
+        pts[str(word)] = per_word.apply(f.scale, f.isometry, f.translation, base)
     keys = list(pts)
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
