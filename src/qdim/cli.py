@@ -183,7 +183,7 @@ def _cmd_check_sep(args) -> int:
         rows = [word.symbols + (0,) * (depth - len(word)) for word in words]
         try:
             family = list(map(Similitude, *compose_words(w, np.reshape(rows, (len(words), depth)))))
-        except QdimError as exc:
+        except (QdimError, ValueError) as exc:  # ValueError: a scale product underflows to 0
             raise _Invalid("words", str(exc)) from exc
         labels = [str(word) for word in words]
     else:

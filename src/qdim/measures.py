@@ -14,7 +14,8 @@ the operations needed downstream:
 * ``tv`` -- total-variation-style distance on atoms,
 * ``box_mass`` -- mass of a half-open box, for measures or sample clouds,
 * CSV and JSON readers and writers, which move whole columns at a time and
-  write each coordinate as its shortest round-trip decimal.
+  write each number as its shortest round-trip decimal (the CSV writer
+  formats each distinct value of a column once).
 
 Only the R^m route of ``dl`` needs scipy (``scipy.optimize.linprog`` and
 ``scipy.sparse``); it imports them on its first call, so importing this
@@ -112,21 +113,11 @@ class DiscreteMeasure:
         if np.any(weights <= 0.0):
             raise ValueError("weights must be strictly positive")
 
-        # Canonicalise -0.0 to +0.0 so that bitwise comparisons below agree
-        # with numeric equality, then merge exact duplicates.
-        atoms = atoms + 0.0
-        order = np.lexsort(atoms.T[::-1])
-        atoms = atoms[order]
-        weights = weights[order]
-        if atoms.shape[0] > 1:
-            same = np.all(atoms[1:] == atoms[:-1], axis=1)
-            if np.any(same):
-                # group id increases whenever a row differs from its predecessor
-                group = np.concatenate([[0], np.cumsum(~same)])
-                atoms = atoms[np.concatenate([[True], ~same])]
-                weights = np.bincount(group, weights=weights)
-                if not np.all(np.isfinite(weights)):
-                    raise ValueError("merged weights of duplicate atoms overflow")
+        # Canonicalise -0.0 to +0.0 so that bitwise comparisons agree with
+        # numeric equality, then merge exact duplicates.
+        atoms, weights = _merge_equal_rows(atoms + 0.0, weights)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("merged weights of duplicate atoms overflow")
 
         atoms.flags.writeable = False
         weights.flags.writeable = False
@@ -153,6 +144,18 @@ class DiscreteMeasure:
 
     def __repr__(self) -> str:  # keep reprs short; atoms can be huge
         return f"DiscreteMeasure(size={self.size}, dim={self.dim}, total={self.total:.6g})"
+
+
+def _merge_equal_rows(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows in lexicographic order, each once, with the weights of equal rows
+    summed in their input order (the sort is stable)."""
+    order = np.lexsort(atoms.T[::-1])
+    atoms, weights = atoms[order], weights[order]
+    new = np.ones(atoms.shape[0], dtype=bool)
+    new[1:] = np.any(atoms[1:] != atoms[:-1], axis=1)
+    if new.all():  # nothing to merge: skip the regrouping's extra n-length buffers
+        return atoms, weights
+    return atoms[new], np.bincount(np.cumsum(new) - 1, weights=weights)
 
 
 def dirac(location, weight: float = 1.0) -> DiscreteMeasure:
@@ -317,15 +320,13 @@ def tv(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     ``|mu(A) - nu(A)|`` over all sets of atoms (the supremum is attained on
     the set where mu out-weighs nu).  Sums are accumulated with
     ``math.fsum`` so the result is the correctly rounded value of the exact
-    real sum.
+    real sum.  Both atom tables are merged in one sort, with nu's weights
+    negated, so each atom's difference is ``w_mu - w_nu`` rounded once.
     """
     _check_same_dim(mu, nu)
-    diffs: dict[bytes, float] = {}
-    for row, w in zip(mu.atoms, mu.weights):
-        diffs[row.tobytes()] = diffs.get(row.tobytes(), 0.0) + float(w)
-    for row, w in zip(nu.atoms, nu.weights):
-        diffs[row.tobytes()] = diffs.get(row.tobytes(), 0.0) - float(w)
-    return math.fsum(d for d in diffs.values() if d > 0.0)
+    _, diffs = _merge_equal_rows(np.vstack([mu.atoms, nu.atoms]),
+                                 np.concatenate([mu.weights, -nu.weights]))
+    return math.fsum(diffs[diffs > 0.0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +365,23 @@ def box_mass(obj, box: Box) -> float:
 def measure_to_csv(mu: DiscreteMeasure) -> str:
     """CSV text with header ``x1,...,xm,weight`` and shortest-roundtrip floats.
 
-    Each column is formatted in one pass: ``repr`` of a Python float is its
-    shortest round-trip decimal.
+    Each distinct value of a column is formatted once, by ``repr`` (the
+    shortest round-trip decimal of a Python float), and its string is
+    gathered back to every row that holds it; one ``join`` builds the text
+    from fields at the even places and separators at the odd ones.  Values
+    that ``np.unique`` counts equal have equal ``repr`` because a
+    :class:`DiscreteMeasure` holds no -0.0 and no NaN.
     """
-    header = ",".join(f"x{i + 1}" for i in range(mu.dim)) + ",weight"
-    cols = [list(map(repr, col)) for col in mu.atoms.T.tolist()]
-    cols.append(list(map(repr, mu.weights.tolist())))
-    return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
+    header = ",".join(f"x{i + 1}" for i in range(mu.dim)) + ",weight\n"
+    cols = [*mu.atoms.T, mu.weights]
+    step = 2 * len(cols)
+    parts = [","] * (step * mu.size)
+    parts[step - 1::step] = ["\n"] * mu.size
+    for j, col in enumerate(cols):
+        values, inverse = np.unique(col, return_inverse=True)
+        strings = np.array(list(map(repr, values.tolist())), dtype=object)
+        parts[2 * j::step] = strings[inverse].tolist()
+    return header + "".join(parts)
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:

@@ -4,16 +4,20 @@ These are the one-word-at-a-time forms that ``qdim.ifs.compose_words``,
 ``qdim.ifs.point_images``, ``qdim.ifs.box_images``,
 ``qdim.geometry.box_gaps``, the sub-IFS search, the hull's and the
 separation checks' per-map images, the Hutchinson push and the word
-weight replaced.  They stay here as oracles: the batched results must
-equal them bit for bit.
+weight replaced, and the one-row and one-atom forms that the CSV writer
+and ``qdim.measures.tv`` replaced.  They stay here as oracles: the batched
+results must equal them bit for bit.  ``cantor_iterate`` builds the
+Hutchinson iterates that the writer and ``tv`` checks run on.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from qdim.ifs import Word, attractor_hull, build_sub_wifs
-from qdim.measures import DiscreteMeasure
+from qdim.ifs import Word, attractor_hull, build_sub_wifs, hutchinson_push
+from qdim.instances import cantor
+from qdim.measures import DiscreteMeasure, dirac
 from qdim.separation import GUARD, check_ssc
 
 
@@ -89,3 +93,32 @@ def search(wifs, suffix=Word(), n_max=2):
             return found
         fallback = found
     return fallback
+
+
+def csv_per_row(mu):
+    """Measure CSV text written one row at a time, each number through ``float``."""
+    header = ",".join(f"x{i + 1}" for i in range(mu.dim)) + ",weight"
+    lines = [header]
+    for row, w in zip(mu.atoms, mu.weights):
+        lines.append(",".join(repr(float(c)) for c in row) + f",{float(w)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def tv(mu, nu):
+    """``sum_x max(mu{x} - nu{x}, 0)`` with the differences kept in a dict
+    keyed by each atom's bytes."""
+    diffs = {}
+    for row, w in zip(mu.atoms, mu.weights):
+        diffs[row.tobytes()] = diffs.get(row.tobytes(), 0.0) + float(w)
+    for row, w in zip(nu.atoms, nu.weights):
+        diffs[row.tobytes()] = diffs.get(row.tobytes(), 0.0) - float(w)
+    return math.fsum(d for d in diffs.values() if d > 0.0)
+
+
+def cantor_iterate(p, level, x=0.3):
+    """Hutchinson iterate of delta_x under ``cantor(probs=(p, 1 - p))``: 2^level
+    atoms whose weights take only level + 1 exact values."""
+    mu = dirac([x])
+    for _ in range(level):
+        mu = hutchinson_push(mu, cantor(probs=(p, 1.0 - p)))
+    return mu

@@ -20,8 +20,10 @@ import qdim
 from qdim.cli import main
 from qdim.ifs import WIFS, Similitude, compose_words, similitude_1d, wifs_to_json_obj
 from qdim.instances import cantor, quarter_maps, uniform_halves
-from qdim.measures import DiscreteMeasure, measure_to_csv
+from qdim.measures import DiscreteMeasure, convolve, measure_to_csv, mix
 from qdim.quantize import chaos_game
+
+import per_word
 
 SEPARATED_WORDS = "11,21,31"  # level-2 family glued by suffix 1
 
@@ -32,7 +34,9 @@ def wifs_files(tmp_path_factory):
     paths = {}
     for name, w in [("cantor", cantor()), ("t02", quarter_maps(0.2)),
                     ("uniform", uniform_halves()),
-                    ("single", WIFS(maps=(similitude_1d(1 / 3, 0.0),), probs=(1.0,)))]:
+                    ("single", WIFS(maps=(similitude_1d(1 / 3, 0.0),), probs=(1.0,))),
+                    ("tiny", WIFS(maps=(similitude_1d(1e-30, 0.0), similitude_1d(1e-30, 0.5)),
+                                  probs=(0.5, 0.5)))]:
         p = root / f"{name}.json"
         p.write_text(json.dumps(wifs_to_json_obj(w)))
         paths[name] = str(p)
@@ -661,14 +665,17 @@ _SAMPLED = ["--wifs", "{cantor}", "--r", "2", "--samples", "1000"]
     (["check-sep", "--wifs", "{cantor}", "--words", "1.x"], "words"),
     (["check-sep", "--wifs", "{cantor}", "--words", "11,"], "words"),
     (["check-sep", "--wifs", "{cantor}", "--words", ","], "words"),
+    # twelve scales of 1e-30 multiply to 0.0 in floating point
+    (["check-sep", "--wifs", "{tiny}", "--words", "1111111111112,2"], "words"),
     (["quantize", *_SAMPLED, "--seed", "-1", "--n", "4"], "seed"),
     (["estimate", *_SAMPLED, "--seed", "-1", "--n-list", "2,4"], "seed"),
 ], ids=["translate-without-x", "mix-without-alpha", "box-mass-without-corners",
         "box-mass-corner-length", "empty-r-grid", "non-numeric-r-grid", "fractional-n-list",
         "unparsable-word", "unparsable-dotted-word", "trailing-empty-word", "only-empty-words",
+        "underflowing-word",
         "quantize-negative-seed", "estimate-negative-seed"])
 def test_invalid_input_exits_2_naming_the_field(wifs_files, measure_files, capsys, argv, field):
-    paths = {"cantor": wifs_files["cantor"], "mu": measure_files[0]}
+    paths = {"cantor": wifs_files["cantor"], "tiny": wifs_files["tiny"], "mu": measure_files[0]}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
@@ -785,6 +792,22 @@ def test_measure_refuses_malformed_json_measures(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["measure", "--op", "tv", "--a", str(path), "--b", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: a: ")
+
+
+@pytest.mark.parametrize("op,flags", [("mix", ["--alpha", "0.3"]), ("convolve", [])])
+def test_measure_csv_output_is_the_per_row_text(tmp_path, op, flags):
+    # Hutchinson iterates of two Cantor measures, written and read back
+    # exactly; the CLI's file holds the library result, one row at a time.
+    mu, nu = per_word.cantor_iterate(0.37, 10), per_word.cantor_iterate(0.61, 6, x=0.8)
+    paths = []
+    for name, m in (("mu", mu), ("nu", nu)):
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(measure_to_csv(m))
+    out = tmp_path / "x.csv"
+    assert main(["measure", "--op", op, "--a", str(paths[0]), "--b", str(paths[1]),
+                 *flags, "--out", str(out)]) == 0
+    want = mix(mu, nu, 0.3) if op == "mix" else convolve(mu, nu)
+    assert out.read_bytes().split(b"\n") == per_word.csv_per_row(want).encode().split(b"\n")
 
 
 def test_measure_json_output(measure_files, tmp_path):

@@ -6,7 +6,8 @@ otherwise) against a brute-force linear program assembled here from
 scratch, and in R^2 against an optimal assignment, which solves the
 transport problem between equal-weight clouds of the same size.  Total
 variation is checked against full subset enumeration with dyadic weights
-so the agreement is exact, not approximate.
+so the agreement is exact, not approximate, and against the per-atom dict
+form it replaced.
 """
 
 import json
@@ -15,6 +16,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 from qdim import measures
@@ -34,6 +37,8 @@ from qdim.measures import (
     translate,
     tv,
 )
+
+import per_word
 
 
 def _measure(atoms, weights):
@@ -298,6 +303,19 @@ def test_tv_matches_subset_enumeration_exactly():
         assert tv(mu, nu) == best
 
 
+def test_tv_matches_the_per_atom_dict_form():
+    rng = np.random.default_rng(909)
+    pool = np.array([-0.0, 0.0, 0.5, -1.0, 1 / 3, 1e-300])
+    for k in range(300):
+        dim = 1 + k % 3
+        mu, nu = (DiscreteMeasure(rng.choice(pool, size=(n, dim)), rng.uniform(0.01, 1.0, size=n))
+                  for n in rng.integers(1, 16, size=2))
+        assert tv(mu, nu) == per_word.tv(mu, nu) and tv(nu, mu) == per_word.tv(nu, mu)
+        assert tv(mu, mu) == 0.0
+    mu, nu = per_word.cantor_iterate(0.37, 12), per_word.cantor_iterate(0.61, 12)
+    assert tv(mu, nu) == per_word.tv(mu, nu) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # box mass
 # ---------------------------------------------------------------------------
@@ -326,24 +344,16 @@ def test_box_mass_on_point_clouds():
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308,
                 0.1, 1 / 3, -2.5e-300]
+_EDGE_WEIGHTS = [5e-324, 1e-5, 1e16, 0.1, 1 / 3]
 
 
 def _edge_measure(rng, dim: int) -> DiscreteMeasure:
     vals = np.array(_EDGE_FLOATS)
     atoms = np.concatenate([np.tile(vals[:, None], (1, dim)), rng.choice(vals, size=(12, dim)),
                             rng.normal(size=(12, dim))])
-    weights = rng.choice(np.array([5e-324, 1e-5, 1e16, 0.1, 1 / 3]), size=atoms.shape[0])
+    weights = rng.choice(np.array(_EDGE_WEIGHTS), size=atoms.shape[0])
     weights[0] = 1.7976931348623157e308  # merged duplicates still sum below the overflow
     return DiscreteMeasure(atoms, weights)
-
-
-def _csv_per_row(mu: DiscreteMeasure) -> str:
-    """Reference formatter: one row at a time, each number through ``float``."""
-    header = ",".join(f"x{i + 1}" for i in range(mu.dim)) + ",weight"
-    lines = [header]
-    for row, w in zip(mu.atoms, mu.weights):
-        lines.append(",".join(repr(float(c)) for c in row) + f",{float(w)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _same_bits(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
@@ -369,12 +379,38 @@ def test_json_round_trip_is_exact():
         assert _same_bits(measure_from_json_obj(obj), mu)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_csv_writer_matches_a_per_row_formatter(dim):
-    mu = _edge_measure(np.random.default_rng(dim), dim)
-    text = measure_to_csv(mu)
-    assert text == _csv_per_row(mu)
+def _distinct_2d() -> DiscreteMeasure:
+    rng = np.random.default_rng(2)
+    return DiscreteMeasure(rng.normal(size=(20_000, 2)), rng.uniform(0.1, 1.0, size=20_000))
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda dim=dim: _edge_measure(np.random.default_rng(dim), dim), id=str(dim))
+      for dim in (1, 2, 3)),
+    pytest.param(lambda: per_word.cantor_iterate(0.37, 16), id="cantor-level-16"),
+    pytest.param(_distinct_2d, id="all-distinct-2d"),
+])
+def test_csv_writer_matches_a_per_row_formatter(make):
+    mu = make()
+    # as lists of lines, so a failure names the first differing row instead of diffing 2^16 lines
+    assert measure_to_csv(mu).split("\n") == per_word.csv_per_row(mu).split("\n")
+
+
+def test_csv_writer_formats_the_edge_floats_at_shortest_length():
+    text = measure_to_csv(_edge_measure(np.random.default_rng(1), 1))
     assert "5e-324" in text and "1.7976931348623157e+308" in text and "1e-05" in text
+    assert "-0.0" not in text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(st.lists(st.sampled_from(_EDGE_FLOATS), min_size=dim, max_size=dim),
+              st.sampled_from(_EDGE_WEIGHTS)), min_size=1, max_size=12)))
+def test_csv_writer_on_repeated_edge_floats(rows):
+    mu = DiscreteMeasure([atom for atom, _ in rows], [w for _, w in rows])
+    text = measure_to_csv(mu)
+    assert text == per_word.csv_per_row(mu)
+    assert _same_bits(measure_from_csv(text), mu)
 
 
 def test_json_writer_matches_a_per_row_formatter():
