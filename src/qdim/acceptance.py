@@ -230,8 +230,8 @@ def _mixture_samples() -> SampleSet:
     return SampleSet(points=pts)
 
 
-def _crit_mixture_max_rule() -> tuple[bool, str]:
-    """Tests the max rule at r = 0: D0 of the half-mixture is the harmonic blend.
+def _crit_mixture_harmonic_blend() -> tuple[bool, str]:
+    """At r = 0, D0 of the half-mixture is the harmonic blend, not the max rule.
 
     The component dimensions are log2/log3 = 0.6309 and log4/log5 = 0.8614.
     The supports lie apart, so with n = n_A + n_B points the geometric-mean
@@ -370,7 +370,7 @@ CRITERIA: tuple[tuple[int, str, float, object], ...] = (
     (6, "sub-system mass domination", 30.0, _crit_sub_domination),
     (7, "sub-system dimension comparison", 5.0, _crit_sub_dimension),
     (8, "convolution leaves D0 unchanged", 120.0, _crit_convolution),
-    (9, "mixture max rule for D0", 120.0, _crit_mixture_max_rule),
+    (9, "mixture harmonic blend for D0", 120.0, _crit_mixture_harmonic_blend),
     (10, "transport and variation metric exactness", 10.0, _crit_metric_exactness),
     (11, "transfer-operator contraction", 10.0, _crit_contraction),
 )

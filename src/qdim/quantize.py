@@ -22,11 +22,17 @@ samples.  Empty cells are re-seeded at the sample farthest from the
 current codebook.  Log distances are floored at 1e-12 to keep the r = 0
 objective finite.
 
-On a line the samples are stably sorted once per sample set, and every
-Voronoi cell is an interval, hence a run of that one order: the split
-tree's cells are runs of it, assignment cuts the sorted samples, gathered
-once per Lloyd run, at the code midpoints, and medians and sample
-candidates read each cell's run.
+The recentering rules are written once, against a per-cell interface
+that two layouts supply.  On a line the sample values are sorted once per
+sample set, the codebook is kept sorted, and every Voronoi cell is a slice
+of the sorted values: assignment is the cut indices of the code midpoints,
+per-cell sums are ``np.add.reduceat`` over the cuts, per-sample centers
+are ``np.repeat`` of the codebook by the cell counts, and medians and
+sample candidates read each slice; the split tree's leaves are slices too.
+In R^m each sample carries its cell index and sums are ``np.bincount`` in
+sample order.  Slice sums round differently from sample-order sums, so on
+a line the distortions, and the centers at r >= 2, differ from those in
+the last bits.
 
 A Lloyd round spends its work on what can still change.  In R^m each
 sample carries a lower bound on its distance to the centers other than its
@@ -35,11 +41,11 @@ whose bound no longer clears their own distance are queried again in a
 KD-tree (scipy's, imported on the first R^m assignment, so the 1-d path
 never loads it).  Damped Newton steps and their trials read only the
 samples of the cells still moving, and at r = 0 a recentering searches
-only the cells whose sample set changed since the previous one (both read
-every sample while those cells hold more than half of them).  Sums (means,
-distortions, objectives) still run in sample order, so every assignment,
-center and distortion is bit-identical to full rescans and per-sample
-searches.
+only the cells whose samples or center changed since the previous one
+(both read every sample while those cells hold more than half of them),
+and a run stops once no cell changed.  A cell's sum depends only on its
+own samples in their order, so every assignment, center and distortion is
+bit-identical to full rescans and per-sample searches.
 
 Every Lloyd run starts from one deterministic codebook.  A fit that knows
 its system (:func:`fit_dimension`) seeds each rung with the system's own
@@ -156,9 +162,9 @@ class SampleSet:
         return int(self.points.shape[1])
 
     @functools.cached_property
-    def line_order(self) -> np.ndarray | None:
-        """The points' :func:`_line_order`, sorted once for every codebook."""
-        return _line_order(self.points)
+    def line_values(self) -> np.ndarray | None:
+        """The points' :func:`_line_values`, sorted once for every codebook."""
+        return _line_values(self.points)
 
 
 def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleSet:
@@ -226,54 +232,180 @@ def _row_products(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray
 # ---------------------------------------------------------------------------
 # nearest-point machinery
 # ---------------------------------------------------------------------------
+#
+# A Lloyd run assigns through one assigner, which returns each codebook's
+# nearest-center distances and its cells: ``_Slices`` on a line, where the
+# samples are sorted and every cell is a slice of them, ``_Indexed`` in R^m,
+# where each sample carries its cell index.  Both supply the per-cell
+# interface the recentering rules below are written against: ``counts``,
+# ``sum`` (per-cell sums of per-sample values), ``offsets`` and
+# ``distances`` (each sample's center spread to it, minus the sample, and
+# its length), ``restrict`` (the samples of a cell mask), ``run_starts``
+# and ``ranked`` (each cell's samples in order of their first coordinate),
+# ``members`` (one cell's samples, as an index), and ``key``/``changed``
+# (which cells' samples moved between two assignments).
 
 
-def _line_order(x: np.ndarray) -> np.ndarray | None:
-    """Stable sort order of samples on a line; None in R^m.
-
-    In 1-d every Voronoi cell is an interval, so under this one order each
-    cell is a contiguous run of samples, ties in x kept in sample order.
-    Seeding, assignment and the per-cell slices all read it.  numpy's
-    default (unstable, vectorised) sort serves when the sorted values hold
-    no two equal neighbours: then only one order sorts them, the stable one.
-    Otherwise (-0.0 == 0.0 included) the stable sort runs.
-    """
+def _line_values(x: np.ndarray) -> np.ndarray | None:
+    """The sorted sample values on a line, read-only; None in R^m."""
     if x.shape[1] != 1:
         return None
-    order = np.argsort(x[:, 0])
-    xs = x[order, 0]
-    if np.any(xs[1:] == xs[:-1]):
-        order = np.argsort(x[:, 0], kind="stable")
-    return order
+    xs = np.sort(x[:, 0])
+    xs.flags.writeable = False
+    return xs
 
 
-def _assigner(x: np.ndarray, xt: np.ndarray, order: np.ndarray | None):
-    """``code -> (d, idx)``, the nearest-center distances and cells of samples
-    ``x`` (``xt`` its (m, k) transpose): :func:`_assign_line` on a line, where
-    ``order`` is their :func:`_line_order`, else a :class:`_BoundedAssign`."""
-    if order is None:
-        return _BoundedAssign(x, xt)
-    return functools.partial(_assign_line, xt[0], xt[0, order], order)
+def _assigner(x: np.ndarray, xs: np.ndarray | None = None):
+    """A fresh assigner for one Lloyd run over samples ``x``: a :class:`_Line`
+    over their sorted values ``xs`` (sorted here when not given) on a line,
+    else a :class:`_BoundedAssign`."""
+    if x.shape[1] == 1:
+        return _Line(_line_values(x) if xs is None else xs)
+    return _BoundedAssign(x, np.ascontiguousarray(x.T))
 
 
-def _assign_line(x: np.ndarray, xs: np.ndarray, order: np.ndarray, code: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and cell indices of samples ``x`` on a line to their nearest
-    code point, the samples sorted as ``xs = x[order]``.
+class _Line:
+    """Nearest-center assignment of sorted samples ``xs`` on a line.
 
-    The n - 1 code midpoints cut the sorted samples into the cells: a sample
-    goes to the first code point whose upper midpoint is not below it, as
-    ``searchsorted(mids, x)`` would place it.
+    A call sorts the codebook (stably) unless it already is, and cuts the
+    samples at the n - 1 code midpoints: a sample goes to the first code
+    point whose upper midpoint is not below it.  Returns the sorted
+    codebook, each sample's distance (in sorted order) and the cells.
     """
-    corder = np.argsort(code[:, 0], kind="stable")
-    cs = code[corder, 0]
-    mids = 0.5 * (cs[1:] + cs[:-1])
-    cuts = np.searchsorted(xs, mids, side="right")
-    idx = np.empty(x.size, dtype=np.intp)
-    idx[order] = np.repeat(corder, np.diff(cuts, prepend=0, append=x.size))
-    d = code[idx, 0]  # |x - c| in place: the caller already holds two more arrays
-    np.subtract(x, d, out=d)
-    return np.abs(d, out=d), idx
+
+    def __init__(self, xs: np.ndarray):
+        self.xs = xs
+
+    def __call__(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Slices]:
+        c = code[:, 0]
+        if np.any(c[1:] < c[:-1]):
+            code = code[np.argsort(c, kind="stable")]
+            c = code[:, 0]
+        xs = self.xs
+        cuts = np.empty(c.size + 1, dtype=np.intp)
+        cuts[0], cuts[-1] = 0, xs.size
+        cuts[1:-1] = np.searchsorted(xs, 0.5 * (c[1:] + c[:-1]), side="right")
+        cells = _Slices(xs, cuts)
+        return code, cells.distances(code), cells
+
+
+class _Slices:
+    """The cells of sorted samples ``xs`` on a line: cell c is the slice
+    ``xs[cuts[c]:cuts[c + 1]]``, already in order.
+
+    Per-cell sums are ``np.add.reduceat`` over the nonempty cells' starts,
+    so an empty cell, whose start repeats the next one's, reads 0.
+    """
+
+    def __init__(self, xs: np.ndarray, cuts: np.ndarray):
+        self.xt = xs[None]
+        self.cuts = cuts
+        self.counts = np.diff(cuts)
+        self.run_starts = cuts[:-1]
+        self._ne = None if self.counts.all() else np.flatnonzero(self.counts)
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        """Per-cell sums of ``v`` (k,), or of each row of an (m, k) ``v`` as (n, m)."""
+        if self._ne is None:
+            out = np.add.reduceat(v, self.run_starts, axis=-1)
+        else:
+            out = np.zeros(v.shape[:-1] + self.counts.shape)
+            if self._ne.size:
+                out[..., self._ne] = np.add.reduceat(v, self.run_starts[self._ne], axis=-1)
+        return out.T
+
+    def offsets(self, z: np.ndarray) -> np.ndarray:
+        """``z[cell] - x`` for every sample, as a (1, k) array."""
+        v = np.repeat(z.T, self.counts, axis=1)
+        v -= self.xt
+        return v
+
+    def distances(self, z: np.ndarray) -> np.ndarray:
+        """``|z[cell] - x|`` for every sample."""
+        v = self.offsets(z)[0]
+        return np.abs(v, out=v)
+
+    def restrict(self, cells: np.ndarray) -> _Slices:
+        """The cells in the mask ``cells`` alone (the others emptied), or
+        these cells themselves when those hold more than half the samples."""
+        counts = np.where(cells, self.counts, 0)
+        if 2 * int(counts.sum()) > self.xt.shape[1]:
+            return self
+        cuts = np.zeros_like(self.cuts)
+        np.cumsum(counts, out=cuts[1:])
+        return _Slices(self.xt[0, np.repeat(cells, self.counts)], cuts)
+
+    def ranked(self, pos: np.ndarray) -> np.ndarray:
+        """The samples at positions ``pos`` of the cell runs, as (1, len(pos))."""
+        return self.xt[:, pos]
+
+    def members(self, c: int) -> slice:
+        return slice(self.cuts[c], self.cuts[c + 1])
+
+    def key(self) -> np.ndarray:
+        return self.cuts.copy()
+
+    def changed(self, key: np.ndarray) -> np.ndarray:
+        """Mask of the cells whose cut pair moved since ``key``."""
+        return (self.cuts[:-1] != key[:-1]) | (self.cuts[1:] != key[1:])
+
+
+class _Indexed:
+    """The cells of samples ``xt`` (an (m, k) array) in R^m: sample i lies in
+    cell ``idx[i]``.  Sums are ``np.bincount`` in sample order."""
+
+    def __init__(self, xt: np.ndarray, idx: np.ndarray, n: int, counts: np.ndarray | None = None):
+        self.xt, self.idx, self.n = xt, idx, n
+        self.counts = np.bincount(idx, minlength=n) if counts is None else counts
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        """Per-cell sums of ``v`` (k,), or of each row of an (m, k) ``v`` as (n, m)."""
+        if v.ndim == 1:
+            return np.bincount(self.idx, weights=v, minlength=self.n)
+        return np.stack([np.bincount(self.idx, weights=row, minlength=self.n) for row in v], axis=1)
+
+    def offsets(self, z: np.ndarray) -> np.ndarray:
+        return _offsets(self.xt, self.idx, z)
+
+    def distances(self, z: np.ndarray) -> np.ndarray:
+        return _norm(self.offsets(z))
+
+    def restrict(self, cells: np.ndarray) -> _Indexed:
+        """The samples of the cells in the mask ``cells``, in sample order, or
+        these cells themselves when those hold more than half the samples:
+        per-cell sums over those cells are the same either way, and the
+        copies would take more memory than the samples they leave out."""
+        keep = cells[self.idx]
+        if 2 * np.count_nonzero(keep) > keep.size:
+            return self
+        return _Indexed(self.xt[:, keep], self.idx[keep], self.n, np.where(cells, self.counts, 0))
+
+    @functools.cached_property
+    def _runs(self) -> np.ndarray:
+        return np.lexsort((self.xt[0], self.idx))
+
+    @property
+    def run_starts(self) -> np.ndarray:
+        return np.cumsum(self.counts) - self.counts
+
+    def ranked(self, pos: np.ndarray) -> np.ndarray:
+        """The samples at positions ``pos`` of the cell runs (samples sorted
+        by cell, then first coordinate, ties in sample order), as (m, len(pos))."""
+        return self.xt[:, self._runs[pos]]
+
+    def members(self, c: int) -> np.ndarray:
+        return self.idx == c
+
+    def key(self) -> np.ndarray:
+        return self.idx.astype(np.min_scalar_type(self.n - 1))
+
+    def changed(self, key: np.ndarray) -> np.ndarray:
+        """Mask of the cells that gained or lost a sample since ``key``."""
+        moved = np.flatnonzero(key != self.idx)
+        changed = np.zeros(self.n, dtype=bool)
+        changed[key[moved]] = True
+        changed[self.idx[moved]] = True
+        return changed
 
 
 class _BoundedAssign:
@@ -287,7 +419,8 @@ class _BoundedAssign:
     ``d`` is computed exactly, as the KD-tree computes it.  A sample
     whose ``d`` stays below ``low`` by ``_BOUND_SLACK`` times the scale
     keeps its center; only the others are queried again.  Each call returns
-    new ``d`` and ``idx`` arrays, equal to ``cKDTree(code).query(x, k=1)``.
+    the codebook, new ``d`` and the cells of new ``idx``, equal to
+    ``cKDTree(code).query(x, k=1)``.
     """
 
     def __init__(self, x: np.ndarray, xt: np.ndarray):
@@ -295,7 +428,7 @@ class _BoundedAssign:
         self.scale = max(1.0, float(np.max(np.abs(xt))))
         self.code: np.ndarray | None = None
 
-    def __call__(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Indexed]:
         from scipy.spatial import cKDTree
 
         tree = cKDTree(code)
@@ -315,7 +448,7 @@ class _BoundedAssign:
             if stale.size:
                 d[stale], idx[stale], low[stale] = _query_two(tree, self.x[stale], slack)
         self.code, self.idx, self.low = code.copy(), idx, low
-        return d, idx
+        return code, d, _Indexed(self.xt, idx, code.shape[0])
 
 
 def _query_two(tree: cKDTree, x: np.ndarray, slack: float
@@ -379,100 +512,77 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _loss(d: np.ndarray, r: float) -> np.ndarray:
-    """Per-sample order-r loss: d^r, or the floored log-distance at r = 0."""
-    return d ** r if r > 0.0 else np.log(np.maximum(d, EPS_LOG))
+    """Per-sample order-r loss: d^r, or the floored log-distance at r = 0,
+    written over the distances ``d``."""
+    if r > 0.0:
+        d **= r
+        return d
+    np.maximum(d, EPS_LOG, out=d)
+    return np.log(d, out=d)
 
 
-def _cell_objective(xt: np.ndarray, idx: np.ndarray, centers: np.ndarray, r: float,
-                    n: int) -> np.ndarray:
-    """Per-cell order-r objective of assigning each sample to centers[idx]."""
-    return np.bincount(idx, weights=_loss(_norm(_offsets(xt, idx, centers)), r), minlength=n)
+def _cell_objective(cells, centers: np.ndarray, r: float) -> np.ndarray:
+    """Per-cell order-r objective of assigning each sample of ``cells`` to
+    its cell's row of ``centers``."""
+    return cells.sum(_loss(cells.distances(centers), r))
 
 
 # ---------------------------------------------------------------------------
 # per-cell recentering
 # ---------------------------------------------------------------------------
 #
-# Each kernel moves every cell's center at once, from per-cell sums
-# (``np.bincount`` over the cell index), in any dimension m.  Samples come
-# as ``xt``, an (m, k) array.
+# Each rule moves every cell's center at once, from per-cell sums over the
+# cells of one assignment (``_Slices`` or ``_Indexed``), in any dimension m.
 
 
-def _recenter(xt: np.ndarray, idx: np.ndarray, loss: np.ndarray, code: np.ndarray,
-              r: float, order: np.ndarray | None = None, changed: np.ndarray | None = None
-              ) -> np.ndarray:
-    """Optimal (or safeguarded) new centers for the current assignment.
+def _recenter(cells, loss: np.ndarray, code: np.ndarray, r: float,
+              changed: np.ndarray | None = None) -> np.ndarray:
+    """Optimal (or safeguarded) new centers for the assignment ``cells``.
 
-    ``loss`` holds each sample's :func:`_loss` at its current center,
-    ``code[idx]``.
-    ``order``, if given, is a stable sort of the samples under which every
-    cell is one contiguous run, as the 1-d cells of :func:`_assign_line`
-    are under :func:`_line_order`.  ``changed``, if given at r = 0, masks the
-    cells whose sample set changed since the recentering that produced
-    ``code``: every other cell's center won that search over the same
-    samples, with the same value, so no candidate can beat it and only the
-    changed cells are searched.
+    ``loss`` holds each sample's :func:`_loss` at its current center.
+    ``changed``, if given at r = 0, masks the cells whose samples or center
+    changed since the recentering that produced ``code``: every other
+    cell's center won that search over the same samples, with the same
+    value, so no candidate can beat it and only the changed cells are
+    searched.
     """
     n, m = code.shape
-    counts = np.bincount(idx, minlength=n)
+    counts = cells.counts
     nonempty = counts > 0
     new = code.copy()
 
     if r == 2.0:
-        for c in range(m):
-            sums = np.bincount(idx, weights=xt[c], minlength=n)
-            new[nonempty, c] = sums[nonempty] / counts[nonempty]
+        sums = cells.sum(cells.xt)
+        new[nonempty] = sums[nonempty] / counts[nonempty, None]
         return new
 
     if r == 1.0 and m == 1:
-        runs, starts = _cell_runs(xt, idx, counts, order)
-        ne = np.nonzero(nonempty)[0]
-        lo_mid = runs[starts[ne] + (counts[ne] - 1) // 2]
-        hi_mid = runs[starts[ne] + counts[ne] // 2]
-        new[ne, 0] = 0.5 * (xt[0, lo_mid] + xt[0, hi_mid])
+        ne = np.flatnonzero(nonempty)
+        starts = cells.run_starts[ne]
+        lo_mid = cells.ranked(starts + (counts[ne] - 1) // 2)
+        hi_mid = cells.ranked(starts + counts[ne] // 2)
+        new[ne, 0] = 0.5 * (lo_mid[0] + hi_mid[0])
         return new
 
-    incumbent = np.bincount(idx, weights=loss, minlength=n)
+    incumbent = cells.sum(loss)
     if r == 0.0:
-        return _best_candidates(xt, idx, code, r, counts, incumbent, order, cells=changed)[0]
+        return _best_candidates(cells, code, r, incumbent, mask=changed)[0]
     if r >= 1.0:
-        return _damped_newton(xt, idx, code, r, incumbent)
+        return _damped_newton(cells, code, r, incumbent)
 
     # d^r is concave in d: minimisers sit on or near samples, where the
     # majoriser's weights blow up and its steps stall, so the better of its
     # result and the sample candidates wins, and the incumbent if neither
     # improves on it.
-    new = _majorize_minimize(xt, idx, code, r)
-    value = _cell_objective(xt, idx, new, r, n)
-    cand, cand_value = _best_candidates(xt, idx, code, r, counts, incumbent, order, refine=True)
+    new = _majorize_minimize(cells, code, r)
+    value = _cell_objective(cells, new, r)
+    cand, cand_value = _best_candidates(cells, code, r, incumbent, refine=True)
     take = cand_value < value
     new[take] = cand[take]
     value[take] = cand_value[take]
     worse = value > incumbent
     new[worse] = code[worse]
     return new
-
-
-def _cell_runs(xt: np.ndarray, idx: np.ndarray, counts: np.ndarray,
-               order: np.ndarray | None, sel: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Samples in runs by cell, each run sorted by first coordinate with ties
-    in sample order, and the position where each nonempty cell's run starts.
-
-    With ``order`` (see :func:`_recenter`) the runs are already there and
-    only their starts are read off; otherwise the samples are sorted by
-    cell, only those in ``sel`` (sample indices in sample order, the cells
-    whose ``counts`` are kept nonzero) when it is given.  Either way a
-    cell's run holds the same samples in the same order.
-    """
-    if order is None:
-        runs = np.lexsort((xt[0], idx)) if sel is None else sel[np.lexsort((xt[0, sel], idx[sel]))]
-        return runs, np.cumsum(counts) - counts
-    cell = idx[order]
-    first = np.flatnonzero(cell[1:] != cell[:-1]) + 1
-    starts = np.zeros(counts.size, dtype=np.intp)
-    starts[cell[first]] = first
-    return order, starts
 
 
 def _weights(d: np.ndarray, r: float) -> np.ndarray:
@@ -490,9 +600,8 @@ def _weights(d: np.ndarray, r: float) -> np.ndarray:
     return w
 
 
-def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
-                     counts: np.ndarray, incumbent: np.ndarray, order: np.ndarray | None,
-                     refine: bool = False, cells: np.ndarray | None = None
+def _best_candidates(cells, code: np.ndarray, r: float, incumbent: np.ndarray,
+                     refine: bool = False, mask: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Best of the incumbent and a spread of each cell's own samples.
 
@@ -505,51 +614,41 @@ def _best_candidates(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float
     each candidate has the same depth, hence quantile resolution only
     affects the smooth part of the objective.  With ``refine`` the spread is
     narrowed around the best quantile and scored again until it holds
-    consecutive samples.  ``order`` is as in :func:`_recenter`.  Only the
-    cells in the mask ``cells`` (all when None) are searched, over their own
-    samples (see :func:`_samples_of`); the rest keep the incumbent.  Returns the centers and
-    their per-cell objectives.
+    consecutive samples.  Only the cells in ``mask`` (all when None) are
+    searched, over their own samples; the rest keep the incumbent.  Returns
+    the centers and their per-cell objectives.
     """
-    n = code.shape[0]
-    xs, ids, sel = xt, idx, None
-    searched = counts > 0
-    if cells is not None:
-        searched &= cells
-        xs, ids = _samples_of(xt, idx, cells)
-        # R^m copies: sort only those samples.  A line reads its runs off
-        # ``order``, so it needs no index list and no counts zeroed.
-        if order is None and ids is not idx:
-            sel = np.flatnonzero(cells[idx])
-            counts = np.where(cells, counts, 0)
-    runs, starts = _cell_runs(xt, idx, counts, order, sel)
+    searched = cells.counts > 0
+    if mask is not None:
+        cells = cells.restrict(mask)
+        searched &= mask
     ne = np.flatnonzero(searched)
-    starts = starts[ne]
+    starts = cells.run_starts[ne]
     best = code.copy()
     best_val = incumbent.copy()
     cand = code.copy()
-    last = counts[ne] - 1
+    last = cells.counts[ne] - 1
     lo = np.zeros_like(last)
     span = last.copy()
     top = lo.copy()
     while True:
         for q in range(_LOG_CANDIDATES):
             rank = lo + (span * q) // (_LOG_CANDIDATES - 1)
-            cand[ne] = xt[:, runs[starts + rank]].T
-            val = _cell_objective(xs, ids, cand, r, n)[ne]
+            cand[ne] = cells.ranked(starts + rank).T
+            val = _cell_objective(cells, cand, r)[ne]
             better = val < best_val[ne]
             won = ne[better]
             best_val[won] = val[better]
             best[won] = cand[won]
             top[better] = rank[better]
-        if not refine or span.max() < _LOG_CANDIDATES:
+        if not refine or span.max(initial=0) < _LOG_CANDIDATES:
             return best, best_val
         reach = -(-span // (_LOG_CANDIDATES - 1))
         lo = np.maximum(top - reach, 0)
         span = np.minimum(top + reach, last) - lo
 
 
-def _majorize_minimize(xt: np.ndarray, idx: np.ndarray, code: np.ndarray,
-                       r: float) -> np.ndarray:
+def _majorize_minimize(cells, code: np.ndarray, r: float) -> np.ndarray:
     """Generalised Weiszfeld steps for 0 < r < 1, all cells at once.
 
     ``d^r = (d^2)^(r/2)`` is concave in ``d^2``, so its tangent at the
@@ -557,14 +656,13 @@ def _majorize_minimize(xt: np.ndarray, idx: np.ndarray, code: np.ndarray,
     squares with weights ``d^(r-2)``; each step moves the center to that
     majoriser's minimiser, the weighted mean of the cell.
     """
-    n = code.shape[0]
     z = code.copy()
-    tol = _STEP_TOL * max(float(np.max(np.abs(xt))), 1.0)
+    tol = _STEP_TOL * max(float(np.max(np.abs(cells.xt))), 1.0)
     for _ in range(_MM_STEPS):
-        v = _offsets(xt, idx, z)
+        v = cells.offsets(z)
         w = _weights(_norm(v), r)
-        wsum = np.bincount(idx, weights=w, minlength=n)
-        step = np.stack([np.bincount(idx, weights=w * vc, minlength=n) for vc in v], axis=1)
+        wsum = cells.sum(w)
+        step = cells.sum(w * v)
         step /= np.where(wsum > 0.0, wsum, 1.0)[:, None]
         z -= step
         if np.max(np.abs(step)) <= tol:
@@ -572,8 +670,7 @@ def _majorize_minimize(xt: np.ndarray, idx: np.ndarray, code: np.ndarray,
     return z
 
 
-def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
-                   value: np.ndarray) -> np.ndarray:
+def _damped_newton(cells, code: np.ndarray, r: float, value: np.ndarray) -> np.ndarray:
     """Damped Newton steps for r >= 1, all cells at once.
 
     The cell objective ``sum_i |z - x_i|^r`` (per-cell values ``value`` at
@@ -588,33 +685,37 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
     step is below tolerance without a decrease.
 
     Each step reads only the samples of the cells still active, and each
-    trial only those of the cells it tries (see :func:`_samples_of`);
-    per-cell sums keep sample order, so they equal full-sample sums bit for
-    bit.  A cell moves only to a center of lower objective, so no cell ends
-    above its ``value``.
+    trial only those of the cells it tries (see ``restrict``); per-cell
+    sums keep their order, so they equal full-sample sums bit for bit.  A
+    cell moves only to a center of lower objective, so no cell ends above
+    its ``value``.
     """
     n, m = code.shape
     z = code.copy()
     f = value.copy()
-    tol = _STEP_TOL * max(float(np.max(np.abs(xt))), 1.0)
+    tol = _STEP_TOL * max(float(np.max(np.abs(cells.xt))), 1.0)
     eye = np.eye(m)
     active = np.ones(n, dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        v = _offsets(xt, idx, z)
+        v = cells.offsets(z)
         d = _norm(v)
         w = _weights(d, r)
-        wsum = np.bincount(idx, weights=w, minlength=n)
-        grad = np.stack([np.bincount(idx, weights=w * va, minlength=n) for va in v], axis=1)
-        d[d == 0.0] = 1.0
-        v /= d  # now the unit vectors u_i
-        del d  # one sample-length array fewer at the step's peak
+        wsum = cells.sum(w)
+        grad = cells.sum(w * v)
         hess = ((1.0 + _NEWTON_RIDGE) * wsum)[:, None, None] * eye
-        for a in range(m):
-            for b in range(a, m):
-                h = (r - 2.0) * np.bincount(idx, weights=w * v[a] * v[b], minlength=n)
-                hess[:, a, b] += h
-                if b != a:
-                    hess[:, b, a] += h
+        if m == 1:
+            # u_i = +-1, or 0 where w_i = 0: sum_i w_i u_i u_i is wsum exactly
+            hess[:, 0, 0] += (r - 2.0) * wsum
+        else:
+            d[d == 0.0] = 1.0
+            v /= d  # now the unit vectors u_i
+            del d  # one sample-length array fewer at the step's peak
+            for a in range(m):
+                for b in range(a, m):
+                    h = (r - 2.0) * cells.sum(w * v[a] * v[b])
+                    hess[:, a, b] += h
+                    if b != a:
+                        hess[:, b, a] += h
         del v, w  # the trials below need no sample-length step arrays
         flat = wsum <= 0.0
         hess[flat] = eye
@@ -630,7 +731,7 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
                 if not pending.any():
                     break
                 trial = z + t * step
-                val = _cell_objective(*_samples_of(xt, idx, pending), trial, r, n)
+                val = _cell_objective(cells.restrict(pending), trial, r)
                 ok = pending & (val < f)
                 z[ok] = trial[ok]
                 f[ok] = val[ok]
@@ -642,20 +743,8 @@ def _damped_newton(xt: np.ndarray, idx: np.ndarray, code: np.ndarray, r: float,
         active &= moved
         if not active.any():
             break
-        xt, idx = _samples_of(xt, idx, active)
+        cells = cells.restrict(active)
     return z
-
-
-def _samples_of(xt: np.ndarray, idx: np.ndarray, cells: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The samples of the cells in the mask ``cells`` and their cell indices,
-    in sample order, or the arrays themselves when the cells hold more than
-    half of them: per-cell sums over those cells are the same either way,
-    and the copies would take more memory than the samples they leave out."""
-    keep = cells[idx]
-    if 2 * np.count_nonzero(keep) > keep.size:
-        return xt, idx
-    return xt[:, keep], idx[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -663,42 +752,36 @@ def _samples_of(xt: np.ndarray, idx: np.ndarray, cells: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _reseed_empty(x: np.ndarray, code: np.ndarray, d: np.ndarray, idx: np.ndarray
-                  ) -> tuple[np.ndarray, bool]:
+def _reseed_empty(code: np.ndarray, d: np.ndarray, cells) -> tuple[np.ndarray, bool]:
     """Move centers of empty cells onto the samples farthest from the codebook."""
-    n = code.shape[0]
-    counts = np.bincount(idx, minlength=n)
-    empty = np.nonzero(counts == 0)[0]
+    empty = np.flatnonzero(cells.counts == 0)
     if empty.size == 0:
         return code, False
     far = np.argsort(-d, kind="stable")[: empty.size]
     code = code.copy()
-    code[empty] = x[far]
+    code[empty] = cells.xt[:, far].T
     return code, True
 
 
-def _lloyd(x: np.ndarray, code: np.ndarray, r: float, order: np.ndarray | None = None
-           ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, float, list[float]]:
     """Run Lloyd iterations to (near) convergence, or for ``MAX_ROUNDS``
-    rounds.
+    rounds, every round assigning through ``assign`` (see :func:`_assigner`).
 
-    ``order`` is the samples' :func:`_line_order`, computed here when not
-    given; every round assigns through one :func:`_assigner`.  At r = 0 each
-    recentering searches only the cells whose sample set changed since the
-    previous one.  Returns the last codebook measured, its assignment (the
-    run ends right after making it, re-seeds included), its distortion, and
-    the per-round distortion history (non-increasing up to float dust).
+    At r = 0 each recentering searches only the cells whose samples or
+    center changed since the previous one, and the run stops once none did:
+    the next round would measure the same codebook again.  Returns the last
+    codebook measured (sorted on a line), its cells (the run ends right
+    after making them, re-seeds included), its distortion, and the
+    per-round distortion history (non-increasing up to float dust).
     """
     history: list[float] = []
     prev = math.inf
-    xt = np.ascontiguousarray(x.T)
-    assign = _assigner(x, xt, _line_order(x) if order is None else order)
     before = None
     while True:
-        d, idx = assign(code)
-        code, reseeded = _reseed_empty(x, code, d, idx)
+        code, d, cells = assign(code)
+        code, reseeded = _reseed_empty(code, d, cells)
         if reseeded:
-            d, idx = assign(code)
+            code, d, cells = assign(code)
         loss = _loss(d, r)
         del d
         dist = float(np.mean(loss))
@@ -708,23 +791,19 @@ def _lloyd(x: np.ndarray, code: np.ndarray, r: float, order: np.ndarray | None =
             break
         prev = dist
         changed = None
-        if r == 0.0 and before is not None:
-            changed = _changed_cells(before, idx, code.shape[0])
-        code = _recenter(xt, idx, loss, code, r, order, changed)
-        # Free the round's arrays before the next assignment allocates its
-        # own; r = 0 keeps each sample's cell, in the smallest integer type.
-        before = idx.astype(np.min_scalar_type(code.shape[0] - 1)) if r == 0.0 else None
-        del loss, idx
-    return code, idx, dist, history
-
-
-def _changed_cells(before: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the cells that gained or lost a sample from ``before`` to ``idx``."""
-    moved = np.flatnonzero(before != idx)
-    changed = np.zeros(n, dtype=bool)
-    changed[before[moved]] = True
-    changed[idx[moved]] = True
-    return changed
+        if before is not None:
+            key, searched = before
+            changed = cells.changed(key) | np.any(code != searched, axis=1)
+            if not changed.any():
+                history.append(dist)
+                break
+        code = _recenter(cells, loss, code, r, changed)
+        # Free the round's arrays (a cached run order too) before the next
+        # assignment allocates its own; r = 0 keeps each cell's key and the
+        # centers it searched for.
+        before = (cells.key(), code) if r == 0.0 else None
+        del loss, cells
+    return code, cells, dist, history
 
 
 @dataclass(frozen=True, eq=False)
@@ -768,13 +847,14 @@ def _split_tree(samples: SampleSet, r: float, sizes) -> dict[int, np.ndarray]:
     After j splits the j + 1 leaf centers are the codebook of size j + 1.
     A leaf whose split leaves a cell empty (all its samples are equal)
     never splits; once none can, the leaves repeat, and Lloyd re-seeds the
-    cells they leave empty.  On a line every leaf's samples are a run of
-    the samples' :func:`_line_order`, so they are sorted.
+    cells they leave empty.  On a line a leaf is a slice of the sorted
+    sample values, and its split cuts that slice in two.
     """
-    x, line = samples.points, samples.line_order
+    x = samples.points
     center = x.mean(axis=0)
-    leaves = [(np.arange(samples.count) if line is None else line, center,
-               float(np.sum(_loss(_norm((x - center).T), r))))]
+    leaves = [(np.arange(samples.count), center, float(np.sum(_loss(_norm((x - center).T), r))))]
+    if samples.line_values is not None:  # a leaf's samples then come sorted
+        x = samples.line_values[:, None]
     heap: list = []
     pushed = itertools.count()
 
@@ -784,11 +864,11 @@ def _split_tree(samples: SampleSet, r: float, sizes) -> dict[int, np.ndarray]:
         dev = xc - center
         var, axes = np.linalg.eigh(dev.T @ dev / cell.size)
         step = math.sqrt(max(var[-1], 0.0)) * axes[:, -1]
-        order = None if line is None else np.arange(cell.size)
-        code, idx, _, _ = _lloyd(xc, np.stack([center - step, center + step]), 2.0, order=order)
-        if idx.min() < idx.max():
-            kid_loss = _cell_objective(xc.T, idx, code, r, 2)
-            kids = [(cell[idx == h], code[h], float(kid_loss[h])) for h in (0, 1)]
+        start = np.stack([center - step, center + step])
+        code, cells, _, _ = _lloyd(_assigner(xc, xc[:, 0]), start, 2.0)
+        if cells.counts.all():
+            kid_loss = _cell_objective(cells, code, r)
+            kids = [(cell[cells.members(h)], code[h], float(kid_loss[h])) for h in (0, 1)]
             heapq.heappush(heap, (float(kid_loss.sum()) - loss, next(pushed), i, kids))
 
     top = max(sizes)
@@ -870,7 +950,8 @@ def optimize_codebook(samples: SampleSet, n: int, r: float,
 
     if start is None:
         start = _split_tree(samples, r, [n])[n]
-    code, _, dist, _ = _lloyd(x, np.array(start, dtype=float), r, order=samples.line_order)
+    assign = _assigner(x, samples.line_values)
+    code, _, dist, _ = _lloyd(assign, np.array(start, dtype=float), r)
     return Codebook(points=code[np.lexsort(code.T[::-1])], r=r, distortion=dist)
 
 
@@ -884,7 +965,7 @@ def estimate_vnr(samples: SampleSet, codebook, r: float) -> float:
     code = codebook.points if isinstance(codebook, Codebook) else np.asarray(codebook, dtype=float)
     if code.ndim == 1:
         code = code[:, None]
-    d, _ = _assigner(samples.points, samples.points.T.copy(), samples.line_order)(code)
+    _, d, _ = _assigner(samples.points, samples.line_values)(code)
     loss = np.mean(_loss(d, r))
     return float(loss if r > 0.0 else np.exp(loss))
 
@@ -969,7 +1050,7 @@ def _fit_ladder(samples: SampleSet, r: float, ns: list[int], start) -> Dimension
     """Run one Lloyd run per rung n of the :func:`_ladder` ``ns`` in
     parallel from ``start(n)`` (the samples sorted once, before), and
     regress the log errors on log n."""
-    samples.line_order  # sorted here once, not in every rung's thread
+    samples.line_values  # sorted here once, not in every rung's thread
     pairs = tuple(parallel_map(
         lambda n: (n, optimize_codebook(samples, n, r, start=start(n)).distortion), ns))
 

@@ -5,11 +5,12 @@ detail and runtime against its budget) so the overall verdict is readable
 straight off the pytest output.  Criteria are cached at module level, so
 each one runs exactly once even under ``-k`` reruns within a session.
 
-Criterion 9 tests the max rule at order zero.  For r > 0 the dimension of
-an equal mixture is the larger component dimension, because the errors
-add.  At r = 0 they multiply: the Cantor measure A lies in [0, 1] and the
-``four_fifths_shifted`` measure B in [2, 3], so a codebook of n = n_A + n_B
-points has geometric-mean error
+Criterion 9 tests the harmonic blend at order zero, where the max rule
+fails.  For r > 0 the dimension of an equal mixture is the larger
+component dimension, because the errors add.  At r = 0 they multiply:
+the Cantor measure A lies in [0, 1] and the ``four_fifths_shifted``
+measure B in [2, 3], so a codebook of n = n_A + n_B points has
+geometric-mean error
 
     e_{n,0}((A + B)/2) = e_{n_A,0}(A)^(1/2) * e_{n_B,0}(B)^(1/2).
 

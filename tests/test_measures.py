@@ -23,6 +23,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from qdim import measures
 from qdim.errors import DimensionError, NotNormalized
 from qdim.geometry import Box
+from qdim.ifs import WIFS, Similitude, hutchinson_push
 from qdim.measures import (
     DiscreteMeasure,
     box_mass,
@@ -229,6 +230,24 @@ def test_dl_matches_assignment_oracle_2d():
         cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         rows, cols = linear_sum_assignment(cost)
         assert abs(dl(mu, nu) - cost[rows, cols].sum() / k) < 1e-12
+
+
+def test_dl_certifies_a_plan_whose_solver_duals_miss_feasibility():
+    # Level-3 iterates of the rotated dust from two nearby start points: the
+    # interior-point column duals break u_i + v_j <= C_ij by 4.2e-9 while the
+    # gap is 2e-17.  Their c-transform certifies the plan.
+    eye, rot = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+    dust = WIFS(maps=tuple(Similitude(1 / 3, iso, np.array(t)) for iso, t in
+                           [(eye, [0.0, 0.0]), (eye, [2 / 3, 0.0]), (rot, [1 / 3, 2 / 3]),
+                            (eye, [2 / 3, 2 / 3])]),
+                probs=(0.4, 0.3, 0.2, 0.1))
+    mu, nu = (_measure(np.array([start]), np.array([1.0]))
+              for start in ([0.3134813224891122, 0.02952447893215915],
+                            [0.3131252626823864, 0.4699384817174732]))
+    for _ in range(3):
+        mu, nu = hutchinson_push(mu, dust), hutchinson_push(nu, dust)
+    assert mu.atoms.shape == nu.atoms.shape == (64, 2)
+    assert abs(dl(mu, nu) - _lp_transport(mu, nu)) < 1e-9
 
 
 def test_dl_network_agrees_with_cdf_route_in_1d():

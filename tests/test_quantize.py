@@ -32,9 +32,13 @@ from qdim.quantize import (
     Codebook,
     SampleSet,
     _BoundedAssign,
+    _Indexed,
+    _Line,
+    _Slices,
+    _assigner,
     _cell_objective,
     _damped_newton,
-    _line_order,
+    _line_values,
     _lloyd,
     _loss,
     _recenter,
@@ -50,11 +54,42 @@ from qdim.quantize import (
 import per_word
 
 
-def _assign(x, code, order=None):
-    """Distances and cells of samples ``x`` at ``code``, as a Lloyd run's
-    first assignment gives them."""
-    order = _line_order(x) if order is None else order
-    return quantize._assigner(x, np.ascontiguousarray(x.T), order)(code)
+def _run(x, init, r):
+    """One Lloyd run over samples ``x`` from ``init``, in their own layout."""
+    return _lloyd(_assigner(x), init, r)
+
+
+def _sample_cells(x, cells):
+    """Each sample's cell, in sample order: a line's cells are slices of
+    the sorted samples, and equal samples share a cell."""
+    if isinstance(cells, _Indexed):
+        return cells.idx
+    idx = np.empty(x.shape[0], dtype=np.intp)
+    idx[np.argsort(x[:, 0], kind="stable")] = np.repeat(np.arange(cells.counts.size), cells.counts)
+    return idx
+
+
+def _assign(x, code):
+    """Distances and cells of samples ``x`` at ``code``, in sample order and
+    as rows of ``code``, as a Lloyd run's first assignment gives them."""
+    sorted_code, d, cells = _assigner(x)(code)
+    idx = _sample_cells(x, cells)
+    if x.shape[1] > 1:
+        return d, idx
+    dx = np.empty_like(d)
+    dx[np.argsort(x[:, 0], kind="stable")] = d
+    return dx, np.argsort(code[:, 0], kind="stable")[idx]
+
+
+def _both_layouts(x, code):
+    """One assignment of 1-d samples ``x`` at ``code``, kept by both layouts:
+    the sorted codebook, the line's cells and distances, and the same cells
+    indexed in sample order with their distances."""
+    code, d, line = _assigner(x)(code)
+    dx = np.empty_like(d)
+    dx[np.argsort(x[:, 0], kind="stable")] = d
+    indexed = _Indexed(np.ascontiguousarray(x.T), _sample_cells(x, line), code.shape[0])
+    return code, (line, d), (indexed, dx)
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +239,7 @@ def test_chaos_game_is_bit_identical_to_step_major_scan_at_ladder_sizes(seed):
         assert np.array_equal(chaos_game(w, count, seed).points, _step_major_scan(w, count, seed, 100))
 
 
-def test_line_order_is_the_stable_order():
+def test_line_values_are_the_sorted_samples():
     rng = np.random.default_rng(31)
     sets = [rng.integers(0, 20, size=500).astype(float)]
     for _ in range(8):  # one 0.0 and one -0.0, equal under == but not bitwise
@@ -213,7 +248,10 @@ def test_line_order_is_the_stable_order():
         sets.append(x)
     sets += [chaos_game(cantor(), 30_000, seed=s).points[:, 0] for s in range(1, 5)]
     for x in sets:
-        np.testing.assert_array_equal(quantize._line_order(x[:, None]), np.argsort(x, kind="stable"))
+        xs = _line_values(x[:, None])
+        np.testing.assert_array_equal(xs, x[np.argsort(x, kind="stable")])
+        assert not xs.flags.writeable
+    assert _line_values(np.zeros((3, 2))) is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -249,7 +287,7 @@ def test_sampleset_flat_points_become_column():
 def test_lloyd_history_never_increases(cantor_samples, r):
     rng = np.random.default_rng(23)
     init = cantor_samples.points[rng.choice(cantor_samples.count, size=6, replace=False)]
-    _, _, _, history = _lloyd(cantor_samples.points, init, r)
+    _, _, _, history = _run(cantor_samples.points, init, r)
     diffs = np.diff(history)
     assert np.all(diffs <= 1e-12), f"history increased by {diffs.max()}"
 
@@ -259,7 +297,7 @@ def test_lloyd_history_never_increases_2d(r):
     rng = np.random.default_rng(29)
     pts = rng.uniform(size=(1500, 2))
     init = pts[rng.choice(1500, size=5, replace=False)]
-    _, _, _, history = _lloyd(pts, init, r)
+    _, _, _, history = _run(pts, init, r)
     assert np.all(np.diff(history) <= 1e-12)
 
 
@@ -286,7 +324,7 @@ def test_fractional_orders_no_worse_than_scipy_kernel(cantor_samples, fixture, r
         rng = np.random.default_rng(29)
         pts = rng.uniform(size=(1500, 2))
         init = pts[rng.choice(1500, size=5, replace=False)]
-    _, _, dist, _ = _lloyd(pts, init, r)
+    _, _, dist, _ = _run(pts, init, r)
     assert dist <= _SCIPY_KERNEL_DISTORTIONS[fixture, r]
 
 
@@ -319,15 +357,20 @@ def _scipy_cell_minimum(pts, r):
 @pytest.mark.parametrize("r", [1.0, 1.5, 3.0, 3.5])
 def test_recenter_reaches_scipy_cell_minimum(m, r):
     # one recentering from centers on samples (as k-means++ leaves them)
-    # must reach each convex cell objective's minimum
+    # must reach each convex cell objective's minimum, in both layouts
     for seed in range(4):
         x, idx, code = _random_cells(m, seed)
-        xt = np.ascontiguousarray(x.T)
         d = np.linalg.norm(x - code[idx], axis=1)
-        new = _recenter(xt, idx, _loss(d, r), code, r)
-        got = _cell_objective(xt, idx, new, r, code.shape[0])
+        cells = _Indexed(np.ascontiguousarray(x.T), idx, code.shape[0])
+        layouts = [(cells, d)]
+        if m == 1:  # the same cells as slices, each one sorted
+            order = np.lexsort((x[:, 0], idx))
+            cuts = np.concatenate([[0], np.cumsum(cells.counts)])
+            layouts.append((_Slices(x[order, 0], cuts), d[order]))
         want = np.array([_scipy_cell_minimum(x[idx == c], r) for c in range(code.shape[0])])
-        np.testing.assert_allclose(got, want, rtol=1e-9)
+        for cells, dd in layouts:
+            new = _recenter(cells, _loss(dd, r), code, r)
+            np.testing.assert_allclose(_cell_objective(cells, new, r), want, rtol=1e-9)
 
 
 def _damped_newton_reference(xt, idx, code, r, value):
@@ -369,7 +412,7 @@ def _damped_newton_reference(xt, idx, code, r, value):
                 if not pending.any():
                     break
                 trial = z + t * step
-                val = _cell_objective(xt, idx, trial, r, n)
+                val = _cell_objective(_Indexed(xt, idx, n), trial, r)
                 ok = pending & (val < f)
                 z[ok] = trial[ok]
                 f[ok] = val[ok]
@@ -393,12 +436,13 @@ def test_active_cell_newton_matches_full_sample_reference(m, r):
     for seed in range(4):
         x, idx, code = _random_cells(m, seed, n=12)
         xt = np.ascontiguousarray(x.T)
+        cells = _Indexed(xt, idx, code.shape[0])
         for _ in range(2):
-            value = _cell_objective(xt, idx, code, r, code.shape[0])
-            got = _damped_newton(xt, idx, code, r, value)
+            value = _cell_objective(cells, code, r)
+            got = _damped_newton(cells, code, r, value)
             want = _damped_newton_reference(xt, idx, code, r, value)
             np.testing.assert_array_equal(got, want)
-            assert np.all(_cell_objective(xt, idx, got, r, code.shape[0]) <= value)
+            assert np.all(_cell_objective(cells, got, r) <= value)
             code = got
 
 
@@ -432,9 +476,10 @@ def test_log_recentering_is_bit_identical_to_reference_1d(cantor_samples):
     rng = np.random.default_rng(37)
     for n in (3, 16, 64):
         code = x[rng.choice(cantor_samples.count, size=n, replace=False)]
-        d, idx = _assign(x, code)
-        new = _recenter(np.ascontiguousarray(x.T), idx, _loss(d, 0.0), code, 0.0)
-        np.testing.assert_array_equal(new, _log_candidates_reference(x, idx, code))
+        # the line's cells held in sample order, as R^m holds its cells
+        code, _, (cells, d) = _both_layouts(x, code)
+        new = _recenter(cells, _loss(d, 0.0), code, 0.0)
+        np.testing.assert_array_equal(new, _log_candidates_reference(x, cells.idx, code))
 
 
 def _line_fixture(name):
@@ -481,26 +526,31 @@ def test_line_assignment_matches_midpoint_search(case):
 @pytest.mark.parametrize("fixture", ["cantor", "grid"])
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
 def test_line_cells_read_from_the_sorted_samples(fixture, r):
-    # 1-d cells are runs of the samples' stable sort: reading them there
-    # must give the centers that sorting the samples by cell gives
+    # 1-d cells are slices of the sorted samples: reading them there must
+    # give the centers that sorting the samples by cell gives, up to the
+    # rounding of the slice sums at 0 < r < 1 (where majorize-minimize
+    # steps weigh the samples)
     x = _line_fixture(fixture)
-    order = np.argsort(x[:, 0], kind="stable")
-    xt = np.ascontiguousarray(x.T)
     rng = np.random.default_rng(37)
     for n in (3, 16, 40):
         code = x[rng.choice(x.shape[0], size=n, replace=False)]
         code[1] = code[0]  # a duplicate center leaves one cell empty
-        d, idx = _assign(x, code, order)
-        loss = _loss(d, r)
-        np.testing.assert_array_equal(_recenter(xt, idx, loss, code, r, order),
-                                      _recenter(xt, idx, loss, code, r))
+        code, (line, d), (indexed, dx) = _both_layouts(x, code)
+        got = _recenter(line, _loss(d, r), code, r)
+        want = _recenter(indexed, _loss(dx, r), code, r)
+        if r in (0.0, 1.0):
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(_cell_objective(line, got, r),
+                                       _cell_objective(line, want, r), rtol=1e-12)
 
 
 @pytest.mark.parametrize("fixture", ["grid", "cantor", "grid2", "uniform2"])
 def test_log_lloyd_changed_cells_match_full_rescan(fixture, monkeypatch):
-    # At r = 0 each recentering searches only the cells whose sample set
-    # changed; a full _lloyd must equal one that searches every cell, also
-    # through reseeds after the first round (which the grids produce).
+    # At r = 0 each recentering searches only the cells whose samples or
+    # center changed, and the run stops once none did; a full _lloyd must
+    # equal one that searches every cell every round, also through reseeds
+    # after the first round (which the grids produce).
     if fixture in ("grid", "cantor"):
         x = _line_fixture(fixture)
     elif fixture == "grid2":
@@ -510,16 +560,16 @@ def test_log_lloyd_changed_cells_match_full_rescan(fixture, monkeypatch):
     runs = []
     for rescan in (False, True):
         if rescan:
-            monkeypatch.setattr(quantize, "_changed_cells", lambda before, idx, n: None)
+            _always_changed(monkeypatch)
         out = []
         for n in (6, 16, 40):
             for seed in range(3):
                 init = x[np.random.default_rng(seed).choice(x.shape[0], size=n, replace=False)]
-                out.append(_lloyd(x, init, 0.0))
+                out.append(_run(x, init, 0.0))
         runs.append(out)
-    for (code, idx, dist, hist), (want_code, want_idx, want_dist, want_hist) in zip(*runs):
+    for (code, cells, dist, hist), (want_code, want_cells, want_dist, want_hist) in zip(*runs):
         np.testing.assert_array_equal(code, want_code)
-        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(_sample_cells(x, cells), _sample_cells(x, want_cells))
         assert dist == want_dist and hist == want_hist
 
 
@@ -528,8 +578,8 @@ def _record_reseeds(monkeypatch):
     reseeded = []
     reseed = quantize._reseed_empty
 
-    def recording(x, code, d, idx):
-        out = reseed(x, code, d, idx)
+    def recording(code, d, cells):
+        out = reseed(code, d, cells)
         reseeded.append(out[1])
         return out
 
@@ -542,7 +592,7 @@ def test_log_lloyd_fixtures_reseed_after_the_first_round(monkeypatch):
     reseeded = _record_reseeds(monkeypatch)
     x = _line_fixture("grid")
     init = x[np.random.default_rng(0).choice(x.shape[0], size=40, replace=False)]
-    _lloyd(x, init, 0.0)
+    _run(x, init, 0.0)
     assert any(reseeded[1:])
 
 
@@ -553,13 +603,158 @@ def _fresh_cells(x, code):
     return cKDTree(code).query(x, k=1)[1]
 
 
+def _always_changed(monkeypatch):
+    """Make every r = 0 recentering search every cell, in both layouts."""
+    for layout in (_Slices, _Indexed):
+        monkeypatch.setattr(layout, "changed", lambda self, key: np.ones(self.counts.size, bool))
+
+
+@pytest.mark.parametrize("w", [cantor(), _DUST], ids=["line", "plane"])
+def test_log_lloyd_stops_once_no_cell_changed(w, monkeypatch):
+    # A search that left every cell's samples and center as they were is
+    # the last: the next round would measure the same codebook again.  The
+    # run ends with its distortion twice in the history, as that round
+    # would leave it, and one recentering fewer.
+    samples = chaos_game(w, 30_000 if w.dim == 1 else 15_000, seed=1 if w.dim == 1 else 12345)
+    searches = []
+    recenter = quantize._recenter
+    monkeypatch.setattr(quantize, "_recenter", lambda *a: searches.append(1) or recenter(*a))
+    runs, stopped = [], 0
+    for rescan in (False, True):
+        if rescan:
+            _always_changed(monkeypatch)
+        out = []
+        for n in (16, 32, 64, 128):
+            searches.clear()
+            code, cells, dist, hist = _run(samples.points, antichain_codebook(w, n, 0.0), 0.0)
+            out.append((code, _sample_cells(samples.points, cells), dist, hist, len(searches)))
+        runs.append(out)
+    for got, want in zip(*runs):
+        for a, b in zip(got[:2], want[:2]):  # codebooks and cells
+            np.testing.assert_array_equal(a, b)
+        assert got[2:4] == want[2:4]  # distortion and history
+        k, hist = got[4], got[3]
+        assert k in (want[4], want[4] - 1)
+        if k < want[4]:
+            stopped += 1
+            assert hist[-1] == hist[-2]
+    assert stopped >= (4 if w.dim == 1 else 1)
+
+
+def _sorted_slices(x, cells):
+    """Each cell's samples, cut from ``np.sort`` of the samples."""
+    xs = np.sort(x[:, 0])
+    return [xs[lo:hi] for lo, hi in zip(cells.cuts[:-1], cells.cuts[1:])]
+
+
+def _log_objective(z, s):
+    return math.fsum(np.log(np.maximum(np.abs(z - s), EPS_LOG)).tolist())
+
+
+@pytest.mark.parametrize("fixture", ["cantor", "grid", "zeros"])
+def test_line_recentering_matches_sorted_slice_references(fixture):
+    # Per cell, against the sorted samples sliced at the cuts: medians bit
+    # for bit, means within 1e-14 of the correctly rounded mean (slice sums
+    # round as reduceat does, not as np.sum), and each r = 0 choice one of
+    # its 33 candidates or the incumbent, of least objective among them
+    # within 1e-12.
+    x = _line_fixture("cantor" if fixture == "zeros" else fixture)
+    if fixture == "zeros":  # duplicates of 0.0 and -0.0, and centers on them
+        x = np.concatenate([x, np.zeros((40, 1)), np.full((40, 1), -0.0)])
+    rng = np.random.default_rng(41)
+    for n in (3, 16, 40):
+        code = x[rng.choice(x.shape[0], size=n, replace=False)]
+        if fixture == "zeros":
+            code[0] = -0.0
+        code, d, cells = _assigner(x)(code)
+        slices = _sorted_slices(x, cells)
+        med = _recenter(cells, _loss(d.copy(), 1.0), code, 1.0)
+        mean = _recenter(cells, _loss(d.copy(), 2.0), code, 2.0)
+        log = _recenter(cells, _loss(d.copy(), 0.0), code, 0.0)
+        for c, s in enumerate(slices):
+            if not s.size:
+                assert med[c] == mean[c] == log[c] == code[c]
+                continue
+            assert med[c, 0].tobytes() == np.median(s).tobytes()
+            want = math.fsum(s.tolist()) / s.size
+            assert abs(mean[c, 0] - want) <= 1e-14 * abs(want)
+            cands = [s[(s.size - 1) * q // (_LOG_CANDIDATES - 1)] for q in range(_LOG_CANDIDATES)]
+            cands.append(code[c, 0])
+            assert log[c, 0] in cands
+            best = min(_log_objective(z, s) for z in cands)
+            assert _log_objective(log[c, 0], s) <= best + 1e-12 * abs(best)
+
+
+def _layout_fixture(name):
+    """1-d samples for the layout comparison, and Lloyd starts on them."""
+    rng = np.random.default_rng(53)
+    x = chaos_game(cantor(), 4000, seed=59).points
+    if name == "dups":  # repeated samples, 0.0 and -0.0 among them
+        x = np.concatenate([np.repeat(x[:1500], rng.integers(1, 4, size=1500), axis=0),
+                            np.zeros((20, 1)), np.full((20, 1), -0.0)])
+    x = x[rng.permutation(x.shape[0])]
+    inits = []
+    for n in (6, 10, 16):
+        init = x[rng.choice(x.shape[0], size=n, replace=False)].copy()  # centers on samples
+        init[1] = x.max() + 1.0  # a center past the samples: its cell is empty, then reseeded
+        inits.append(init)
+    return x, inits
+
+
+@pytest.mark.parametrize("cap", [2, quantize.MAX_ROUNDS])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("fixture", ["cantor", "dups"])
+def test_line_and_generic_layouts_agree_on_one_dimensional_samples(fixture, r, cap, monkeypatch):
+    # Lloyd on sorted slices and Lloyd on indexed cells with KD-tree
+    # assignment, on the same 1-d samples from the same starts.  Their sums
+    # round differently: r = 0 and r = 1 pick samples and agree exactly,
+    # r = 2 centers agree to 1e-12, and at r = 3 and r = 0.5 the distortions
+    # agree to 1e-12 while centers sit within a few step tolerances of each
+    # other on the flat of the cell objective.
+    monkeypatch.setattr(quantize, "MAX_ROUNDS", cap)
+    x, inits = _layout_fixture(fixture)
+    tol = 10 * _STEP_TOL * max(1.0, float(np.max(np.abs(x))))
+    for init in inits:
+        line = _lloyd(_Line(np.sort(x[:, 0])), init, r)
+        generic = _lloyd(_BoundedAssign(x, np.ascontiguousarray(x.T)), init, r)
+        (code, cells, dist, hist), (gcode, gcells, gdist, ghist) = line, generic
+        gcode = np.sort(gcode, axis=0)
+        assert len(hist) == len(ghist) <= cap
+        np.testing.assert_array_equal(_sample_cells(x, cells), _fresh_cells(x, code))
+        if r in (0.0, 1.0):
+            np.testing.assert_array_equal(code, gcode)
+        elif r == 2.0:
+            np.testing.assert_allclose(code, gcode, rtol=1e-12, atol=0)
+        else:
+            np.testing.assert_allclose(code, gcode, rtol=0, atol=tol)
+        assert abs(dist - gdist) <= 1e-12 * abs(gdist)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
+def test_line_lloyd_with_more_centers_than_distinct_samples(r):
+    # Ten centers on seven distinct sample values: a center that repeats
+    # another keeps an empty slice through every reseed, and each
+    # recentering must leave such slices out of its sums (reduceat would
+    # read the next slice's first sample there).  Every value keeps a
+    # center on it, so the error is 0, or the log floor at r = 0.
+    values = 2.0 ** np.arange(7) - 1.0
+    x = np.repeat(values, 50)[np.random.default_rng(61).permutation(350), None]
+    init = np.concatenate([values, values[[0, 3, 6]]])[:, None]
+    code, cells, dist, hist = _run(x, init, r)
+    assert not cells.counts.all()
+    np.testing.assert_array_equal(np.unique(code), values)
+    np.testing.assert_array_equal(_sample_cells(x, cells), _fresh_cells(x, code))
+    assert dist == (0.0 if r > 0.0 else pytest.approx(math.log(EPS_LOG), rel=1e-15))
+    assert len(hist) <= 3
+
+
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
 @pytest.mark.parametrize("m", [1, 2])
 def test_lloyd_returns_the_assignment_of_its_codebook(m, r):
     x = _line_fixture("cantor") if m == 1 else np.random.default_rng(29).uniform(size=(1500, 2))
     init = x[np.random.default_rng(23).choice(x.shape[0], size=6, replace=False)]
-    code, idx, _, _ = _lloyd(x, init, r)
-    np.testing.assert_array_equal(idx, _fresh_cells(x, code))
+    code, cells, _, _ = _run(x, init, r)
+    np.testing.assert_array_equal(_sample_cells(x, cells), _fresh_cells(x, code))
 
 
 @pytest.mark.parametrize("r", [0.0, 2.0])
@@ -576,9 +771,9 @@ def test_lloyd_assignment_holds_through_reseeds_and_the_round_cap(m, r, monkeypa
     for cap in (1, 2, 3):
         monkeypatch.setattr(quantize, "MAX_ROUNDS", cap)
         reseeded.clear()
-        code, idx, _, history = _lloyd(x, init, r)
+        code, cells, _, history = _run(x, init, r)
         assert len(history) == cap and reseeded[0]
-        np.testing.assert_array_equal(idx, _fresh_cells(x, code))
+        np.testing.assert_array_equal(_sample_cells(x, cells), _fresh_cells(x, code))
 
 
 @st.composite
@@ -635,9 +830,9 @@ def test_bounded_assignment_matches_full_query(case):
     x, codes = case
     assign = _BoundedAssign(x, np.ascontiguousarray(x.T))
     for code in codes:
-        d, idx = assign(code)
+        _, d, cells = assign(code)
         want_d, want_idx = cKDTree(code).query(x, k=1)
-        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(cells.idx, want_idx)
         np.testing.assert_array_equal(d, want_d)
 
 
@@ -780,19 +975,18 @@ def test_fit_degenerates_on_constant_samples():
 
 def test_fit_sorts_each_sample_set_once(monkeypatch):
     sorts = []
-    real = quantize._line_order
-    monkeypatch.setattr(quantize, "_line_order", lambda x: sorts.append(1) or real(x))
+    real = quantize._line_values
+    monkeypatch.setattr(quantize, "_line_values", lambda x: sorts.append(1) or real(x))
     samples = chaos_game(cantor(), 10_000, seed=51)
     fit_dimension_from_samples(samples, 2.0, [8, 16, 32, 64, 96])
     fit_dimension_from_samples(samples, 0.0, [8, 16, 32])
     assert estimate_vnr(samples, np.array([[0.25], [0.75]]), 2.0) > 0.0
     assert len(sorts) == 1
-    np.testing.assert_array_equal(samples.line_order,
-                                  np.argsort(samples.points[:, 0], kind="stable"))
+    np.testing.assert_array_equal(samples.line_values, np.sort(samples.points[:, 0]))
     fit_dimension(cantor(), 1.0, [8, 16, 32], 5000, seed=3)
     assert len(sorts) == 2
-    assert chaos_game(quarter_maps(), 10, seed=1).line_order is not None
-    assert SampleSet(np.zeros((3, 2))).line_order is None
+    assert chaos_game(quarter_maps(), 10, seed=1).line_values is not None
+    assert SampleSet(np.zeros((3, 2))).line_values is None
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +1100,7 @@ def test_antichain_codebook_of_one_map_cannot_split():
 def test_start_codebook_runs_lloyd_once(cantor_samples):
     start = antichain_codebook(cantor(), 8, 2.0)
     book = optimize_codebook(cantor_samples, 8, 2.0, start=start)
-    code, _, dist, _ = _lloyd(cantor_samples.points, start, 2.0)
+    code, _, dist, _ = _run(cantor_samples.points, start, 2.0)
     assert book.distortion == dist
     np.testing.assert_array_equal(book.points, np.sort(code, axis=0))
     with pytest.raises(ValueError):
@@ -974,7 +1168,7 @@ def test_codebook_without_start_is_one_lloyd_run_from_the_split_tree(w, r):
         book = optimize_codebook(s, n, r)
         leaves = _split_tree(s, r, [n])[n]
         assert leaves.shape == (n, w.dim)
-        code, _, dist, _ = _lloyd(s.points, leaves, r)
+        code, _, dist, _ = _run(s.points, leaves, r)
         assert book.distortion == dist
         np.testing.assert_array_equal(book.points, code[np.lexsort(code.T[::-1])])
 
@@ -992,17 +1186,17 @@ def test_split_tree_assigns_only_inside_lloyd(w, monkeypatch):
             f = f.f_back
         inside.append(f is not None)
 
-    def assign_line(*args):
+    def assign_line(self, code):
         record()
-        return assign(*args)
+        return assign(self, code)
 
     class Tree(cKDTree):
         def query(self, *args, **kwargs):
             record()
             return super().query(*args, **kwargs)
 
-    assign = quantize._assign_line
-    monkeypatch.setattr(quantize, "_assign_line", assign_line)
+    assign = _Line.__call__
+    monkeypatch.setattr(_Line, "__call__", assign_line)
     monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
     _split_tree(chaos_game(w, 3000, seed=71), 0.0, [16])
     assert inside and all(inside)
