@@ -12,7 +12,6 @@ from .dimension import (
     KappaCurve,
     d0_dimension,
     kappa_curve,
-    quantization_dimension,
     similarity_dimension,
     solve_kappa,
 )
@@ -44,7 +43,6 @@ from .measures import (
     DiscreteMeasure,
     box_mass,
     convolve,
-    dirac,
     dl,
     measure_from_csv,
     measure_from_json_obj,
@@ -107,7 +105,6 @@ __all__ = [
     "check_ssc",
     "convolve",
     "d0_dimension",
-    "dirac",
     "dl",
     "estimate_vnr",
     "fit_dimension",
@@ -120,7 +117,6 @@ __all__ = [
     "measure_to_json_obj",
     "mix",
     "optimize_codebook",
-    "quantization_dimension",
     "search_separated_sub_ifs",
     "similarity_dimension",
     "similitude_1d",

@@ -44,7 +44,7 @@ from .measures import (
     translate,
     tv,
 )
-from .quantize import _ladder, antichain_codebook, chaos_game, fit_dimension, optimize_codebook
+from .quantize import _ladder, antichain_codebooks, chaos_game, fit_dimension, optimize_codebook
 from .separation import Status, check_osc_sufficient, check_ssc, search_separated_sub_ifs
 
 __all__ = ["main"]
@@ -249,8 +249,9 @@ def _cmd_quantize(args) -> int:
     _require_positive("n", args.n)
     _check_sampling(args)
     samples = chaos_game(w, args.samples, seed=args.seed, burn_in=args.burn_in)
-    start = antichain_codebook(w, args.n, args.r) if args.n < args.samples else None
+    start = antichain_codebooks(w, [args.n], args.r)[args.n] if args.n < args.samples else None
     book = optimize_codebook(samples, args.n, args.r, start=start)
+    _warn_capped(args.r, [args.n], [book.rounds], [book.capped])
     _emit_json({
         "n": args.n,
         "r": args.r,
@@ -271,6 +272,7 @@ def _cmd_estimate(args) -> int:
     except ValueError as exc:
         raise _Invalid("n-list", str(exc)) from exc
     fit = fit_dimension(w, args.r, ns, args.samples, seed=args.seed, burn_in=args.burn_in)
+    _warn_capped(args.r, ns, fit.rounds, fit.capped)
     lines = ["n,r,distortion,log_n,neg_log_V,seed"]
     for n, value in fit.pairs:
         neg_log = -np.log(value) if args.r > 0 else -value
@@ -280,6 +282,15 @@ def _cmd_estimate(args) -> int:
                  f"{_fmt(fit.ci_halfwidth)},{args.seed}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _warn_capped(r: float, sizes, rounds, capped) -> None:
+    """One stderr line per Lloyd run, of size n and ``rounds`` rounds, that
+    stopped at the round cap without converging."""
+    for n, k, cap in zip(sizes, rounds, capped):
+        if cap:
+            print(f"warning: the Lloyd run at n = {n}, r = {_fmt(r)} stopped at the round cap "
+                  f"({k} rounds) before converging", file=sys.stderr)
 
 
 def _result(field: str, op, *operands) -> DiscreteMeasure:

@@ -35,7 +35,6 @@ __all__ = [
     "DimensionResult",
     "KappaCurve",
     "solve_kappa",
-    "quantization_dimension",
     "d0_dimension",
     "kappa_curve",
     "similarity_dimension",
@@ -144,11 +143,6 @@ def solve_kappa(wifs: WIFS, r: float) -> DimensionResult:
         when the root's residual exceeds ``RESIDUAL_TOL``.
     """
     return _solve(wifs, (float(r),), "solve_kappa")[0]
-
-
-def quantization_dimension(wifs: WIFS, r: float) -> float:
-    """The clamped dimension ``min(kappa_r, ambient dim)``."""
-    return solve_kappa(wifs, r).d_r
 
 
 def d0_dimension(wifs: WIFS) -> float:

@@ -21,6 +21,7 @@ Everything is immutable; randomness never enters this module.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateFit,
     DimensionError,
     EmptySelection,
     InvalidWord,
@@ -44,6 +46,7 @@ __all__ = [
     "Word",
     "SubWIFS",
     "compose_words",
+    "antichain_words",
     "stack_maps",
     "point_images",
     "box_images",
@@ -242,6 +245,43 @@ def compose_words(wifs: WIFS, symbols) -> tuple[np.ndarray, np.ndarray, np.ndarr
         tr = ((scale[:, None, None] * lin) @ trs[col][:, :, None])[:, :, 0] + tr
         scale, lin = scale * scales[col], lin @ isos[col]
     return scale, lin, tr
+
+
+def antichain_words(wifs: WIFS, sizes, r: float) -> dict[int, list[tuple[int, ...]]]:
+    """Graf & Luschgy's antichains Gamma_n (LNM 1730, ch. 14) for every n
+    in ``sizes``, from one priority walk in increasing n.
+
+    Starting from the empty word, the word of largest p_w s_w^r (p_w at
+    r = 0; ties go to the smaller word) is replaced by its children, as a
+    heap pops it, while the antichain stays within n words.  Gamma_n is
+    that antichain with its top word giving way to only its n - |Gamma| + 1
+    highest-priority children, and the walk goes on from the antichain
+    before that partial split.  Priorities are products taken from the
+    left, children of equal priority in symbol order.  Returns each
+    Gamma_n as 1-based words in word order.
+
+    Raises
+    ------
+    DegenerateFit
+        for n > 1 on a one-map system, whose words never split.
+    """
+    k = wifs.n_maps
+    q = [float(p) * f.scale ** r for p, f in zip(wifs.probs, wifs.maps)]
+    children = sorted(range(1, k + 1), key=lambda i: (-q[i - 1], i))
+    heap: list[tuple[float, tuple[int, ...]]] = [(-1.0, ())]
+    gammas = {}
+    for n in sorted(sizes):
+        if k == 1 and n > 1:
+            raise DegenerateFit(f"a one-map system has no antichain of {n} words")
+        while len(heap) < n and len(heap) + k - 1 <= n:
+            neg, word = heapq.heappop(heap)
+            for i in children:
+                heapq.heappush(heap, (neg * q[i - 1], word + (i,)))
+        words = [word for _, word in heap]
+        if len(heap) < n:  # heap[0] is the top word
+            words[0:1] = [words[0] + (i,) for i in children[:n - len(heap) + 1]]
+        gammas[n] = sorted(words)
+    return gammas
 
 
 def _word_weights(wifs: WIFS, symbols: np.ndarray) -> np.ndarray:

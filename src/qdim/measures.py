@@ -39,7 +39,6 @@ from .geometry import Box
 
 __all__ = [
     "DiscreteMeasure",
-    "dirac",
     "convolve",
     "translate",
     "mix",
@@ -156,12 +155,6 @@ def _merge_equal_rows(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
     if new.all():  # nothing to merge: skip the regrouping's extra n-length buffers
         return atoms, weights
     return atoms[new], np.bincount(np.cumsum(new) - 1, weights=weights)
-
-
-def dirac(location, weight: float = 1.0) -> DiscreteMeasure:
-    """Point mass ``weight * delta_location``."""
-    loc = np.atleast_1d(np.asarray(location, dtype=float))
-    return DiscreteMeasure(loc[None, :], np.array([weight], dtype=float))
 
 
 def _check_same_dim(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:

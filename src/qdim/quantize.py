@@ -52,11 +52,11 @@ its system (:func:`fit_dimension`) seeds each rung with the system's own
 codebook {f_w(a*) : w in Gamma}: Gamma is an antichain of n words grown by
 splitting the word of largest p_w s_w^r, and a* the measure's mean (the
 codebooks of Graf & Luschgy's upper bounds, LNM 1730, ch. 14; on the
-Cantor measure at n = 2^k the optimal one).  Fits on bare sample sets,
-and codebooks asked for without a start, seed from the samples' split
-tree: the same priority split, made on cells of samples instead of words
-(Linde, Buzo & Gray's splitting design), with every rung a prefix of one
-tree.
+Cantor measure at n = 2^k the optimal one), from one priority walk per
+ladder.  Fits on bare sample sets, and codebooks asked for without a
+start, seed from the samples' split tree: the same priority split, made
+on cells of samples instead of words (Linde, Buzo & Gray's splitting
+design), with every rung a prefix of one tree.
 
 Everything is reproducible: the chaos game is driven by a single integer
 seed, and nothing after it draws random numbers.
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit
-from .ifs import WIFS, attractor_hull, compose_words, point_images, stack_maps
+from .ifs import WIFS, antichain_words, attractor_hull, compose_words, point_images, stack_maps
 from .util import parallel_map
 
 __all__ = [
@@ -85,7 +85,7 @@ __all__ = [
     "estimate_vnr",
     "fit_dimension",
     "fit_dimension_from_samples",
-    "antichain_codebook",
+    "antichain_codebooks",
 ]
 
 #: Floor applied to distances inside logarithms (r = 0 objective).
@@ -763,7 +763,7 @@ def _reseed_empty(code: np.ndarray, d: np.ndarray, cells) -> tuple[np.ndarray, b
     return code, True
 
 
-def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, float, list[float]]:
+def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, float, list, bool]:
     """Run Lloyd iterations to (near) convergence, or for ``MAX_ROUNDS``
     rounds, every round assigning through ``assign`` (see :func:`_assigner`).
 
@@ -771,8 +771,9 @@ def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, floa
     center changed since the previous one, and the run stops once none did:
     the next round would measure the same codebook again.  Returns the last
     codebook measured (sorted on a line), its cells (the run ends right
-    after making them, re-seeds included), its distortion, and the
-    per-round distortion history (non-increasing up to float dust).
+    after making them, re-seeds included), its distortion, the per-round
+    distortion history (non-increasing up to float dust), and whether
+    ``MAX_ROUNDS`` cut the run short.
     """
     history: list[float] = []
     prev = math.inf
@@ -786,9 +787,10 @@ def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, floa
         del d
         dist = float(np.mean(loss))
         history.append(dist)
-        if (prev - dist < REL_IMPROVEMENT_TOL * max(1.0, abs(prev)) and math.isfinite(prev)
-                or len(history) == MAX_ROUNDS):
+        if prev - dist < REL_IMPROVEMENT_TOL * max(1.0, abs(prev)) and math.isfinite(prev):
             break
+        if len(history) == MAX_ROUNDS:
+            return code, cells, dist, history, True
         prev = dist
         changed = None
         if before is not None:
@@ -803,7 +805,7 @@ def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, floa
         # centers it searched for.
         before = (cells.key(), code) if r == 0.0 else None
         del loss, cells
-    return code, cells, dist, history
+    return code, cells, dist, history, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -812,12 +814,15 @@ class Codebook:
 
     ``distortion`` is the mean r-th power distance for r > 0 and the mean
     floored log-distance for r = 0 (so it can be negative, and is -inf in
-    the degenerate all-points case).
+    the degenerate all-points case).  ``rounds`` and ``capped`` are the
+    run's history length and whether ``MAX_ROUNDS`` cut it short.
     """
 
     points: np.ndarray
     r: float
     distortion: float
+    rounds: int = 0
+    capped: bool = False
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float).copy()
@@ -865,7 +870,7 @@ def _split_tree(samples: SampleSet, r: float, sizes) -> dict[int, np.ndarray]:
         var, axes = np.linalg.eigh(dev.T @ dev / cell.size)
         step = math.sqrt(max(var[-1], 0.0)) * axes[:, -1]
         start = np.stack([center - step, center + step])
-        code, cells, _, _ = _lloyd(_assigner(xc, xc[:, 0]), start, 2.0)
+        code, cells, _, _, _ = _lloyd(_assigner(xc, xc[:, 0]), start, 2.0)
         if cells.counts.all():
             kid_loss = _cell_objective(cells, code, r)
             kids = [(cell[cells.members(h)], code[h], float(kid_loss[h])) for h in (0, 1)]
@@ -888,43 +893,25 @@ def _split_tree(samples: SampleSet, r: float, sizes) -> dict[int, np.ndarray]:
     return books
 
 
-def antichain_codebook(wifs: WIFS, n: int, r: float) -> np.ndarray:
-    """The n points f_w(a*), w over an antichain of words grown by priority.
+def antichain_codebooks(wifs: WIFS, sizes, r: float) -> dict[int, np.ndarray]:
+    """The points f_w(a*), w over each antichain Gamma_n of
+    :func:`~qdim.ifs.antichain_words`, n in ``sizes``, in word order.
 
-    Starting from the empty word, the word of largest p_w s_w^r (p_w at
-    r = 0; ties go to the smaller word) is replaced by its children, as a
-    heap pops it, until a full split would pass n; then the top word gives
-    way to only its n - |Gamma| + 1 highest-priority children.  a* is the
-    measure's mean, the fixed point of a -> sum_i p_i f_i(a), for every r.
-    The words, right-padded with 0, compose in one
+    a* is the measure's mean, the fixed point of a -> sum_i p_i f_i(a).  All
+    the words, right-padded with 0 to one depth, compose in one
     :func:`~qdim.ifs.compose_words` call, and one
-    :func:`~qdim.ifs.point_images` call sends a* through the composed maps.
-    Returns the points in word order.
-
-    Raises
-    ------
-    DegenerateFit
-        for n > 1 on a one-map system, whose words never split.
+    :func:`~qdim.ifs.point_images` call sends a* through them.  Raises
+    ``DegenerateFit`` for n > 1 on a one-map system.
     """
-    k, m = wifs.n_maps, wifs.dim
-    if k == 1 and n > 1:
-        raise DegenerateFit(f"a one-map system has no antichain of {n} words")
-    q = [float(p) * f.scale ** r for p, f in zip(wifs.probs, wifs.maps)]
-    children = sorted(range(1, k + 1), key=lambda i: (-q[i - 1], i))
-    heap: list[tuple[float, tuple[int, ...]]] = [(-1.0, ())]
-    while len(heap) < n:
-        neg, word = heapq.heappop(heap)
-        for i in children[:min(k, n - len(heap))]:
-            heapq.heappush(heap, (neg * q[i - 1], word + (i,)))
-    words = sorted(word for _, word in heap)
-
+    gammas = antichain_words(wifs, sizes, r)
     s, iso, t = stack_maps(wifs.maps)
     drift = np.sum((wifs.probs * s)[:, None, None] * iso, axis=0)
-    mean = np.linalg.solve(np.eye(m) - drift, np.sum(wifs.probs[:, None] * t, axis=0))
+    mean = np.linalg.solve(np.eye(wifs.dim) - drift, np.sum(wifs.probs[:, None] * t, axis=0))
+    words = [w for gamma in gammas.values() for w in gamma]
     depth = max(map(len, words))
-    symbols = np.reshape([w + (0,) * (depth - len(w)) for w in words], (n, depth))
-    scale, lin, tr = compose_words(wifs, symbols)
-    return point_images(scale, lin, tr, mean[None])[:, 0]
+    symbols = np.reshape([w + (0,) * (depth - len(w)) for w in words], (len(words), depth))
+    points = point_images(*compose_words(wifs, symbols), mean[None])[:, 0]
+    return dict(zip(gammas, np.split(points, np.cumsum(list(gammas))[:-1])))
 
 
 def optimize_codebook(samples: SampleSet, n: int, r: float,
@@ -951,8 +938,9 @@ def optimize_codebook(samples: SampleSet, n: int, r: float,
     if start is None:
         start = _split_tree(samples, r, [n])[n]
     assign = _assigner(x, samples.line_values)
-    code, _, dist, _ = _lloyd(assign, np.array(start, dtype=float), r)
-    return Codebook(points=code[np.lexsort(code.T[::-1])], r=r, distortion=dist)
+    code, _, dist, history, capped = _lloyd(assign, np.array(start, dtype=float), r)
+    return Codebook(points=code[np.lexsort(code.T[::-1])], r=r, distortion=dist,
+                    rounds=len(history), capped=capped)
 
 
 def estimate_vnr(samples: SampleSet, codebook, r: float) -> float:
@@ -981,7 +969,8 @@ class DimensionFit:
 
     ``pairs`` holds (n, V_hat) for r > 0 and (n, log e_hat) for r = 0.
     ``ci_halfwidth`` is twice the propagated standard error of the
-    estimate (2 * se_slope * |d estimate / d slope|).
+    estimate (2 * se_slope * |d estimate / d slope|); ``rounds`` and
+    ``capped`` hold each rung's :class:`Codebook` fields.
     """
 
     r: float
@@ -989,6 +978,8 @@ class DimensionFit:
     slope: float
     estimate: float
     ci_halfwidth: float
+    rounds: tuple[int, ...]
+    capped: tuple[bool, ...]
 
 
 def _ladder(n_list, r: float, count: int) -> list[int]:
@@ -1028,13 +1019,13 @@ def fit_dimension_from_samples(samples: SampleSet, r: float, n_list) -> Dimensio
         tree is built.
     """
     ns = _ladder(n_list, r, samples.count)
-    return _fit_ladder(samples, r, ns, _split_tree(samples, r, ns).__getitem__)
+    return _fit_ladder(samples, r, ns, _split_tree(samples, r, ns))
 
 
 def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
                   burn_in: int = 100) -> DimensionFit:
     """Chaos-game sample, then fit as :func:`fit_dimension_from_samples` does,
-    but with each rung one Lloyd run from :func:`antichain_codebook`.
+    but with each rung one Lloyd run from :func:`antichain_codebooks`.
 
     One sample set (of size ``samples_per_run``) is shared by every ladder
     size, and no rung draws random numbers.  The ladder is checked before
@@ -1042,27 +1033,30 @@ def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
     ``DegenerateFit`` for a one-map system.
     """
     ns = _ladder(n_list, r, samples_per_run)
-    samples = chaos_game(wifs, samples_per_run, seed, burn_in=burn_in)
-    return _fit_ladder(samples, r, ns, functools.partial(antichain_codebook, wifs, r=r))
+    starts = antichain_codebooks(wifs, ns, r)
+    return _fit_ladder(chaos_game(wifs, samples_per_run, seed, burn_in=burn_in), r, ns, starts)
 
 
-def _fit_ladder(samples: SampleSet, r: float, ns: list[int], start) -> DimensionFit:
-    """Run one Lloyd run per rung n of the :func:`_ladder` ``ns`` in
-    parallel from ``start(n)`` (the samples sorted once, before), and
-    regress the log errors on log n."""
-    samples.line_values  # sorted here once, not in every rung's thread
-    pairs = tuple(parallel_map(
-        lambda n: (n, optimize_codebook(samples, n, r, start=start(n)).distortion), ns))
+def _fit_ladder(samples: SampleSet, r: float, ns: list[int], starts: dict) -> DimensionFit:
+    """One Lloyd run per rung n of the :func:`_ladder` ``ns`` from
+    ``starts[n]``, and the log errors regressed on log n.  A line's rungs
+    run in turn, as numpy holds the GIL for most of a rung; in R^m the
+    KD-tree queries release it, so there the rungs share a thread pool."""
+    def run(n: int) -> Codebook:
+        return optimize_codebook(samples, n, r, start=starts[n])
 
-    xs = np.log([float(n) for n, _ in pairs])
+    books = [run(n) for n in ns] if samples.dim == 1 else parallel_map(run, ns)
+    vs = [book.distortion for book in books]
+
+    xs = np.log(np.array(ns, dtype=float))
     if r > 0.0:
-        if any(v <= 0.0 for _, v in pairs):
+        if any(v <= 0.0 for v in vs):
             raise DegenerateFit("zero empirical quantization error in the ladder")
-        ys = -np.log([v for _, v in pairs])
+        ys = -np.log(vs)
     else:
-        if any(not math.isfinite(v) for _, v in pairs):
+        if any(not math.isfinite(v) for v in vs):
             raise DegenerateFit("degenerate log-error in the ladder")
-        ys = -np.array([v for _, v in pairs])
+        ys = -np.array(vs)
 
     xbar, ybar = xs.mean(), ys.mean()
     sxx = float(np.sum((xs - xbar) ** 2))
@@ -1077,4 +1071,6 @@ def _fit_ladder(samples: SampleSet, r: float, ns: list[int], start) -> Dimension
         ci = 2.0 * se_slope * estimate / slope
     else:
         ci = math.inf
-    return DimensionFit(r=r, pairs=pairs, slope=slope, estimate=estimate, ci_halfwidth=ci)
+    return DimensionFit(r=r, pairs=tuple(zip(ns, vs)), slope=slope, estimate=estimate,
+                        ci_halfwidth=ci, rounds=tuple(b.rounds for b in books),
+                        capped=tuple(b.capped for b in books))

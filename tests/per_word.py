@@ -17,7 +17,7 @@ import numpy as np
 
 from qdim.ifs import Word, attractor_hull, build_sub_wifs, hutchinson_push
 from qdim.instances import cantor
-from qdim.measures import DiscreteMeasure, dirac
+from qdim.measures import DiscreteMeasure
 from qdim.separation import GUARD, check_ssc
 
 
@@ -118,7 +118,7 @@ def tv(mu, nu):
 def cantor_iterate(p, level, x=0.3):
     """Hutchinson iterate of delta_x under ``cantor(probs=(p, 1 - p))``: 2^level
     atoms whose weights take only level + 1 exact values."""
-    mu = dirac([x])
+    mu = DiscreteMeasure([[x]], [1.0])
     for _ in range(level):
         mu = hutchinson_push(mu, cantor(probs=(p, 1.0 - p)))
     return mu

@@ -564,9 +564,9 @@ def test_estimate_degenerate_system_is_runtime_error(wifs_files, capsys):
 def test_quantize_past_the_sample_count_builds_no_start(wifs_files, monkeypatch, capsys, r):
     # n >= samples returns the distinct samples, which read no start codebook
     def refuse(*args, **kwargs):
-        raise AssertionError("antichain_codebook built a start that is never read")
+        raise AssertionError("antichain_codebooks built a start that is never read")
 
-    monkeypatch.setattr(qdim.cli, "antichain_codebook", refuse)
+    monkeypatch.setattr(qdim.cli, "antichain_codebooks", refuse)
     distinct = np.unique(chaos_game(cantor(), 1000, seed=5).points, axis=0)
     for n in ("1000", "100000"):
         assert main(["quantize", "--wifs", wifs_files["cantor"], "--r", r, "--samples", "1000",
@@ -583,6 +583,31 @@ def test_quantize_one_map_system_is_runtime_error(wifs_files, capsys):
     assert main(argv + ["--n", "2"]) == 1
     assert "runtime error" in capsys.readouterr().err
     assert main(argv + ["--n", "1"]) == 0
+
+
+def test_runs_stopped_at_the_round_cap_warn_on_stderr(wifs_files, monkeypatch, capsys):
+    # One stderr line per Lloyd run that the round cap stopped, naming n and
+    # r; a default ladder writes none, and stdout carries the output alone.
+    common = ["--wifs", wifs_files["cantor"], "--samples", "4000", "--seed", "11"]
+    argvs = [["estimate", "--r", r, "--n-list", "6,12,24"] + common for r in ("0", "2")]
+    argvs.append(["quantize", "--r", "2", "--n", "12"] + common)
+
+    def run_all():
+        for argv in argvs:
+            assert main(argv) == 0
+            yield capsys.readouterr()
+
+    default = list(run_all())
+    assert [err for _, err in default] == ["", "", ""]
+    monkeypatch.setattr(qdim.quantize, "MAX_ROUNDS", 2)
+    capped = list(run_all())
+    assert [err for _, err in capped] == [
+        "".join(f"warning: the Lloyd run at n = {n}, r = {r} stopped at the round cap "
+                "(2 rounds) before converging\n" for n in sizes)
+        for r, sizes in (("0.0", (6, 12, 24)), ("2.0", (6, 12, 24)), ("2.0", (12,)))]
+    for (out, _), (capped_out, _) in zip(default, capped):
+        assert [line.split(",")[0] for line in out.splitlines()] == \
+            [line.split(",")[0] for line in capped_out.splitlines()]
 
 
 _ESTIMATE_SPYING_ON_KDTREE_IMPORT = """

@@ -20,7 +20,6 @@ from qdim.dimension import (
     MONOTONE_SLACK,
     d0_dimension,
     kappa_curve,
-    quantization_dimension,
     similarity_dimension,
     solve_kappa,
 )
@@ -152,7 +151,7 @@ def test_quantization_dimension_clamps_at_ambient():
     w = WIFS(maps=maps, probs=(0.25,) * 4)
     kappa = solve_kappa(w, 2.0).kappa_r
     assert kappa > 1.0
-    assert quantization_dimension(w, 2.0) == 1.0
+    assert solve_kappa(w, 2.0).d_r == 1.0
 
 
 def test_similarity_dimension_closed_form():

@@ -32,7 +32,7 @@ from qdim.ifs import (
     wifs_to_json_obj,
 )
 from qdim.instances import cantor, four_fifths_shifted, quarter_maps
-from qdim.measures import DiscreteMeasure, dirac
+from qdim.measures import DiscreteMeasure
 
 import per_word
 
@@ -460,7 +460,7 @@ def test_sub_wifs_duplicate_selection_collapses():
 
 
 def test_push_splits_a_point_mass():
-    out = hutchinson_push(dirac([0.0]), cantor())
+    out = hutchinson_push(DiscreteMeasure([[0.0]], [1.0]), cantor())
     np.testing.assert_allclose(out.atoms.ravel(), [0.0, 2.0 / 3.0])
     np.testing.assert_allclose(out.weights, [0.5, 0.5])
     assert out.total == pytest.approx(1.0, abs=1e-15)
@@ -469,7 +469,7 @@ def test_push_splits_a_point_mass():
 def test_push_merges_coincident_images():
     # both maps send their fixed point 0 to 0 when translations vanish
     w = WIFS(maps=(similitude_1d(0.5, 0.0), similitude_1d(0.25, 0.0)), probs=(0.4, 0.6))
-    out = hutchinson_push(dirac([0.0]), w)
+    out = hutchinson_push(DiscreteMeasure([[0.0]], [1.0]), w)
     assert out.size == 1
     assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -500,7 +500,7 @@ def test_push_iterates_toward_invariant_measure():
     from qdim.measures import dl
 
     w = cantor()
-    mu = dirac([0.3])
+    mu = DiscreteMeasure([[0.3]], [1.0])
     prev = None
     for _ in range(8):
         nxt = hutchinson_push(mu, w)

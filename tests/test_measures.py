@@ -28,7 +28,6 @@ from qdim.measures import (
     DiscreteMeasure,
     box_mass,
     convolve,
-    dirac,
     dl,
     measure_from_csv,
     measure_from_json_obj,
@@ -141,14 +140,14 @@ def test_convolve_two_coins():
 
 def test_convolve_with_dirac_translates():
     mu = _measure([[0.0], [0.25]], [0.4, 0.6])
-    out = convolve(mu, dirac([5.0]))
+    out = convolve(mu, DiscreteMeasure([[5.0]], [1.0]))
     np.testing.assert_array_equal(out.atoms.ravel(), [5.0, 5.25])
     np.testing.assert_allclose(out.weights, mu.weights)
 
 
 def test_translate_follows_defining_identity():
     # (mu + x)(E) = mu(E + x): the atom of a point mass at 0 moves to -x.
-    out = translate(dirac([0.0]), np.array([2.0]))
+    out = translate(DiscreteMeasure([[0.0]], [1.0]), np.array([2.0]))
     np.testing.assert_array_equal(out.atoms.ravel(), [-2.0])
 
 
@@ -175,7 +174,7 @@ def test_mix_totals_and_edges():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
-        convolve(dirac([0.0]), dirac([0.0, 0.0]))
+        convolve(DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[0.0, 0.0]], [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,7 @@ def test_dimension_mismatch_rejected():
 
 
 def test_dl_known_values():
-    assert dl(dirac([0.0]), dirac([1.0])) == 1.0
+    assert dl(DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[1.0]], [1.0])) == 1.0
     mu = _measure([[0.0], [1.0]], [0.5, 0.5])
     nu = _measure([[0.5]], [1.0])
     assert dl(mu, nu) == 0.5
@@ -193,13 +192,13 @@ def test_dl_known_values():
 
 def test_dl_of_one_shared_atom_is_zero():
     # the merged grid holds one point, so there is no interval to integrate
-    assert dl(dirac([0.25]), dirac([0.25])) == 0.0
+    assert dl(DiscreteMeasure([[0.25]], [1.0]), DiscreteMeasure([[0.25]], [1.0])) == 0.0
 
 
 def test_dl_requires_probability():
     mu = _measure([[0.0]], [2.0])
     with pytest.raises(NotNormalized):
-        dl(mu, dirac([0.0]))
+        dl(mu, DiscreteMeasure([[0.0]], [1.0]))
 
 
 def test_dl_matches_lp_oracle_1d():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import qdim.quantize as quantize
 from qdim.errors import DegenerateFit
-from qdim.ifs import WIFS, Similitude, attractor_hull, compose_words, similitude_1d
+from qdim.ifs import WIFS, Similitude, antichain_words, attractor_hull, compose_words, similitude_1d
 from qdim.instances import cantor, quarter_maps, random_ssc_wifs, uniform_halves
 import scipy.spatial
 from scipy.optimize import minimize
@@ -43,7 +43,7 @@ from qdim.quantize import (
     _loss,
     _recenter,
     _split_tree,
-    antichain_codebook,
+    antichain_codebooks,
     chaos_game,
     estimate_vnr,
     fit_dimension,
@@ -287,7 +287,7 @@ def test_sampleset_flat_points_become_column():
 def test_lloyd_history_never_increases(cantor_samples, r):
     rng = np.random.default_rng(23)
     init = cantor_samples.points[rng.choice(cantor_samples.count, size=6, replace=False)]
-    _, _, _, history = _run(cantor_samples.points, init, r)
+    _, _, _, history, _ = _run(cantor_samples.points, init, r)
     diffs = np.diff(history)
     assert np.all(diffs <= 1e-12), f"history increased by {diffs.max()}"
 
@@ -297,7 +297,7 @@ def test_lloyd_history_never_increases_2d(r):
     rng = np.random.default_rng(29)
     pts = rng.uniform(size=(1500, 2))
     init = pts[rng.choice(1500, size=5, replace=False)]
-    _, _, _, history = _run(pts, init, r)
+    _, _, _, history, _ = _run(pts, init, r)
     assert np.all(np.diff(history) <= 1e-12)
 
 
@@ -324,7 +324,7 @@ def test_fractional_orders_no_worse_than_scipy_kernel(cantor_samples, fixture, r
         rng = np.random.default_rng(29)
         pts = rng.uniform(size=(1500, 2))
         init = pts[rng.choice(1500, size=5, replace=False)]
-    _, _, dist, _ = _run(pts, init, r)
+    _, _, dist, _, _ = _run(pts, init, r)
     assert dist <= _SCIPY_KERNEL_DISTORTIONS[fixture, r]
 
 
@@ -567,7 +567,7 @@ def test_log_lloyd_changed_cells_match_full_rescan(fixture, monkeypatch):
                 init = x[np.random.default_rng(seed).choice(x.shape[0], size=n, replace=False)]
                 out.append(_run(x, init, 0.0))
         runs.append(out)
-    for (code, cells, dist, hist), (want_code, want_cells, want_dist, want_hist) in zip(*runs):
+    for (code, cells, dist, hist, _), (want_code, want_cells, want_dist, want_hist, _) in zip(*runs):
         np.testing.assert_array_equal(code, want_code)
         np.testing.assert_array_equal(_sample_cells(x, cells), _sample_cells(x, want_cells))
         assert dist == want_dist and hist == want_hist
@@ -626,7 +626,7 @@ def test_log_lloyd_stops_once_no_cell_changed(w, monkeypatch):
         out = []
         for n in (16, 32, 64, 128):
             searches.clear()
-            code, cells, dist, hist = _run(samples.points, antichain_codebook(w, n, 0.0), 0.0)
+            code, cells, dist, hist, _ = _run(samples.points, antichain_codebooks(w, [n], 0.0)[n], 0.0)
             out.append((code, _sample_cells(samples.points, cells), dist, hist, len(searches)))
         runs.append(out)
     for got, want in zip(*runs):
@@ -717,7 +717,7 @@ def test_line_and_generic_layouts_agree_on_one_dimensional_samples(fixture, r, c
     for init in inits:
         line = _lloyd(_Line(np.sort(x[:, 0])), init, r)
         generic = _lloyd(_BoundedAssign(x, np.ascontiguousarray(x.T)), init, r)
-        (code, cells, dist, hist), (gcode, gcells, gdist, ghist) = line, generic
+        (code, cells, dist, hist, _), (gcode, gcells, gdist, ghist, _) = line, generic
         gcode = np.sort(gcode, axis=0)
         assert len(hist) == len(ghist) <= cap
         np.testing.assert_array_equal(_sample_cells(x, cells), _fresh_cells(x, code))
@@ -740,7 +740,7 @@ def test_line_lloyd_with_more_centers_than_distinct_samples(r):
     values = 2.0 ** np.arange(7) - 1.0
     x = np.repeat(values, 50)[np.random.default_rng(61).permutation(350), None]
     init = np.concatenate([values, values[[0, 3, 6]]])[:, None]
-    code, cells, dist, hist = _run(x, init, r)
+    code, cells, dist, hist, _ = _run(x, init, r)
     assert not cells.counts.all()
     np.testing.assert_array_equal(np.unique(code), values)
     np.testing.assert_array_equal(_sample_cells(x, cells), _fresh_cells(x, code))
@@ -753,7 +753,7 @@ def test_line_lloyd_with_more_centers_than_distinct_samples(r):
 def test_lloyd_returns_the_assignment_of_its_codebook(m, r):
     x = _line_fixture("cantor") if m == 1 else np.random.default_rng(29).uniform(size=(1500, 2))
     init = x[np.random.default_rng(23).choice(x.shape[0], size=6, replace=False)]
-    code, cells, _, _ = _run(x, init, r)
+    code, cells, _, _, _ = _run(x, init, r)
     np.testing.assert_array_equal(_sample_cells(x, cells), _fresh_cells(x, code))
 
 
@@ -771,7 +771,7 @@ def test_lloyd_assignment_holds_through_reseeds_and_the_round_cap(m, r, monkeypa
     for cap in (1, 2, 3):
         monkeypatch.setattr(quantize, "MAX_ROUNDS", cap)
         reseeded.clear()
-        code, cells, _, history = _run(x, init, r)
+        code, cells, _, history, _ = _run(x, init, r)
         assert len(history) == cap and reseeded[0]
         np.testing.assert_array_equal(_sample_cells(x, cells), _fresh_cells(x, code))
 
@@ -1048,12 +1048,13 @@ def _exact_distinct(w, n, r):
 
 @pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 3.0])
 def test_cantor_antichain_codebook_is_the_cylinder_midpoints(r):
+    codes = antichain_codebooks(cantor(), [2 ** k for k in range(9)], r)
     for k in range(9):
         left = np.zeros(1)
         for j in range(1, k + 1):  # level-j left endpoints, digits 0 and 2
             left = np.concatenate([left, left + 2.0 * 3.0 ** -j])
         mids = np.sort(left) + 0.5 * 3.0 ** -k
-        code = antichain_codebook(cantor(), 2 ** k, r)
+        code = codes[2 ** k]
         assert code.shape == (2 ** k, 1)
         np.testing.assert_allclose(code[:, 0], mids, rtol=0, atol=1e-15)
 
@@ -1067,8 +1068,9 @@ def test_cantor_antichain_codebook_is_the_cylinder_midpoints(r):
 def test_antichain_codebook_has_exactly_n_points(w, sizes, r):
     # 3 and 4 maps: each full split adds 2 or 3 words, so most sizes need a
     # partial split of the last word; on the dust 32 and 128 both do.
+    codes = antichain_codebooks(w, sizes, r)
     for n in sizes:
-        code = antichain_codebook(w, n, r)
+        code = codes[n]
         assert code.shape == (n, w.dim)
         # Distinct words can compose to one map where the images overlap, so
         # on a line the count is the exact one; the dust is separated.
@@ -1088,19 +1090,40 @@ def test_overlapping_words_give_one_antichain_point():
                for n in (1, 2, 4, 6, 10, 24) for r in (0.0, 2.0))
 
 
+_WALKED = [cantor(), _dust(), quarter_maps(0.2)] + [
+    random_ssc_wifs(np.random.default_rng(seed)) for seed in range(8)]
+
+
+@pytest.mark.parametrize("w", _WALKED, ids=lambda w: f"{w.n_maps}maps{w.dim}d")
+def test_antichain_ladder_walk_equals_the_per_size_walk(w):
+    # One walk in increasing n serves every size of a ladder: its antichains
+    # are the per-size walk's words, and its codebooks those of one-size
+    # calls bit for bit.  With 3 or 4 maps, runs like 16, 17, 18, 19 split
+    # one word partially at one size and further at the next.
+    sizes = [1, 2, 3, 5, 16, 17, 18, 19, 40, 64, 65, 100, 129, 256]
+    for r in (0.0, 0.5, 1.0, 2.0, 3.0):
+        gammas = antichain_words(w, sizes, r)
+        codes = antichain_codebooks(w, sizes, r)
+        assert list(gammas) == list(codes) == sizes
+        for n in sizes:
+            assert gammas[n] == [tuple(i + 1 for i in word) for word in _antichain_words(w, n, r)]
+            np.testing.assert_array_equal(codes[n], antichain_codebooks(w, [n], r)[n])
+
+
 def test_antichain_codebook_of_one_map_cannot_split():
     single = WIFS(maps=(similitude_1d(1 / 3, 0.0),), probs=(1.0,))
-    np.testing.assert_allclose(antichain_codebook(single, 1, 2.0), [[0.0]])
-    with pytest.raises(DegenerateFit):
-        antichain_codebook(single, 2, 2.0)
+    np.testing.assert_allclose(antichain_codebooks(single, [1], 2.0)[1], [[0.0]])
+    for sizes in ([2], [1, 2], [1, 4]):
+        with pytest.raises(DegenerateFit):
+            antichain_codebooks(single, sizes, 2.0)
     with pytest.raises(DegenerateFit):
         fit_dimension(single, 2.0, [2, 4], 500, seed=3)
 
 
 def test_start_codebook_runs_lloyd_once(cantor_samples):
-    start = antichain_codebook(cantor(), 8, 2.0)
+    start = antichain_codebooks(cantor(), [8], 2.0)[8]
     book = optimize_codebook(cantor_samples, 8, 2.0, start=start)
-    code, _, dist, _ = _run(cantor_samples.points, start, 2.0)
+    code, _, dist, _, _ = _run(cantor_samples.points, start, 2.0)
     assert book.distortion == dist
     np.testing.assert_array_equal(book.points, np.sort(code, axis=0))
     with pytest.raises(ValueError):
@@ -1119,6 +1142,26 @@ def test_lloyd_cut_at_the_round_cap_ends_on_a_codebook_it_measured(w, monkeypatc
         assert book.distortion == estimate_vnr(samples, book, 2.0)
         seen.append(book.distortion)
     assert seen[0] > seen[1] > seen[2]
+
+
+@pytest.mark.parametrize("r", [0.0, 2.0])
+def test_codebook_records_its_rounds_and_the_round_cap(r, monkeypatch):
+    # The r = 0 stop once no cell changed adds a round to the history but
+    # is no cap, even where that round is the MAX_ROUNDS-th.
+    samples = chaos_game(cantor(), 30_000, seed=1)
+    start = antichain_codebooks(cantor(), [24], r)[24]
+    _, _, _, hist, capped = _run(samples.points, start, r)
+    book = optimize_codebook(samples, 24, r, start=start)
+    assert (book.rounds, book.capped, capped) == (len(hist), False, False)
+    if r == 0.0:
+        assert hist[-1] == hist[-2]
+        monkeypatch.setattr(quantize, "MAX_ROUNDS", len(hist))
+        assert _run(samples.points, start, r)[3:] == (hist, False)
+    monkeypatch.setattr(quantize, "MAX_ROUNDS", 2)
+    book = optimize_codebook(samples, 24, r, start=start)
+    assert (book.rounds, book.capped) == (2, True)
+    fit = fit_dimension(cantor(), r, [6, 24], 30_000, seed=1)
+    assert (fit.rounds, fit.capped) == ((2, 2), (True, True))
 
 
 @pytest.mark.parametrize("r, n_list", [(2.0, [8, 5000]), (2.0, [16, 8]), (2.0, [8]),
@@ -1168,7 +1211,7 @@ def test_codebook_without_start_is_one_lloyd_run_from_the_split_tree(w, r):
         book = optimize_codebook(s, n, r)
         leaves = _split_tree(s, r, [n])[n]
         assert leaves.shape == (n, w.dim)
-        code, _, dist, _ = _run(s.points, leaves, r)
+        code, _, dist, _, _ = _run(s.points, leaves, r)
         assert book.distortion == dist
         np.testing.assert_array_equal(book.points, code[np.lexsort(code.T[::-1])])
 
@@ -1220,6 +1263,22 @@ def test_split_tree_repeats_leaves_past_the_distinct_samples():
     np.testing.assert_array_equal(books[12], np.resize(books[5], (12, 1)))
     book = optimize_codebook(SampleSet(points=x), 12, 2.0)
     assert book.distortion == 0.0
+
+
+def test_a_line_ladder_runs_on_the_calling_thread(monkeypatch):
+    # A line's rungs only contend for the GIL, so they never enter the
+    # pool; in R^m its threads overlap the rungs' KD-tree queries.
+    def refuse(fn, items):
+        raise AssertionError("a line ladder entered the thread pool")
+
+    monkeypatch.setattr(quantize, "parallel_map", refuse)
+    fit_dimension(cantor(), 2.0, [4, 8, 16], 3000, seed=3)
+    fit_dimension_from_samples(chaos_game(cantor(), 3000, seed=3), 0.0, [4, 8, 16])
+    pooled = []
+    monkeypatch.setattr(quantize, "parallel_map", lambda fn, ns: pooled.append(ns) or list(map(fn, ns)))
+    fit_dimension(_dust(), 2.0, [4, 8, 16], 3000, seed=3)
+    fit_dimension_from_samples(chaos_game(_dust(), 3000, seed=3), 0.0, [4, 8, 16])
+    assert pooled == [[4, 8, 16]] * 2
 
 
 @pytest.mark.parametrize("w", [cantor(), _dust()], ids=["line", "plane"])
