@@ -44,7 +44,7 @@ from .measures import (
     translate,
     tv,
 )
-from .quantize import _ladder, antichain_codebooks, chaos_game, fit_dimension, optimize_codebook
+from .quantize import _antichain_starts, _ladder, chaos_game, fit_dimension, optimize_codebook
 from .separation import Status, check_osc_sufficient, check_ssc, search_separated_sub_ifs
 
 __all__ = ["main"]
@@ -249,8 +249,11 @@ def _cmd_quantize(args) -> int:
     _require_positive("n", args.n)
     _check_sampling(args)
     samples = chaos_game(w, args.samples, seed=args.seed, burn_in=args.burn_in)
-    start = antichain_codebooks(w, [args.n], args.r)[args.n] if args.n < args.samples else None
-    book = optimize_codebook(samples, args.n, args.r, start=start)
+    start = words = None
+    if args.n < args.samples:
+        starts, gammas = _antichain_starts(w, [args.n], args.r)
+        start, words = starts[args.n], gammas[args.n]
+    book = optimize_codebook(samples, args.n, args.r, start=start, _words=words)
     _warn_capped(args.r, [args.n], [book.rounds], [book.capped])
     _emit_json({
         "n": args.n,

@@ -47,6 +47,7 @@ __all__ = [
     "SubWIFS",
     "compose_words",
     "antichain_words",
+    "antichain_index",
     "stack_maps",
     "point_images",
     "box_images",
@@ -282,6 +283,49 @@ def antichain_words(wifs: WIFS, sizes, r: float) -> dict[int, list[tuple[int, ..
             words[0:1] = [words[0] + (i,) for i in children[:n - len(heap) + 1]]
         gammas[n] = sorted(words)
     return gammas
+
+
+def antichain_index(words, picks: np.ndarray, count: int) -> np.ndarray:
+    """For each of the last ``count`` steps of a chaos-game orbit, the index
+    in ``words`` (an antichain of 1-based words) of the word its address
+    starts with.
+
+    ``picks`` holds the orbit's 0-based map indices in draw order, so step
+    t lies in f_w(conv K) for w = (picks[t], picks[t - 1], ...) + 1.  The
+    words' trie is held as two tables with one row per proper prefix (a
+    split word: for n words over k maps at most (n - 1)/(k - 1) + 1 rows of
+    k entries, so about 2n + 2k entries for any k) plus a sink row: the
+    child's row (the sink where a word ends) and the index of the word that
+    ends there (else 0).  All samples walk it together, one symbol per pass,
+    reading at most ``burn_in + 1 = len(picks) - count + 1`` symbols, and
+    keep the largest word index met, the one word they end in.  The result
+    is a guess: a sample whose address leaves the trie (an omitted child of
+    a partial split) or runs out of symbols gets index 0.
+    """
+    burn_in = picks.size - count
+    base = max(max((s for word in words for s in word), default=0), int(picks.max(initial=0)) + 1)
+    rows: dict[tuple[int, ...], int] = {}
+    for word in words:
+        for depth in range(len(word)):
+            rows.setdefault(word[:depth], len(rows))
+    sink = len(rows)
+    child = np.full((sink + 1, base), sink, dtype=np.intp)
+    ends = np.zeros((sink + 1, base), dtype=np.intp)
+    for prefix, row in rows.items():
+        if prefix:
+            child[rows[prefix[:-1]], prefix[-1] - 1] = row
+    for i, word in enumerate(words):
+        if word:
+            ends[rows[word[:-1]], word[-1] - 1] = i
+    child, ends = child.ravel(), ends.ravel()
+    out = np.zeros(count, dtype=np.intp)
+    node = np.zeros(count, dtype=np.intp)
+    for j in range(min(max(map(len, words), default=0), burn_in + 1)):
+        node *= base
+        node += picks[burn_in - j:burn_in - j + count]
+        np.maximum(out, ends[node], out=out)
+        node = child[node]
+    return out
 
 
 def _word_weights(wifs: WIFS, symbols: np.ndarray) -> np.ndarray:

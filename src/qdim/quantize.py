@@ -39,7 +39,11 @@ sample carries a lower bound on its distance to the centers other than its
 own (Hamerly's drift update, Elkan's center-gap lemma), and only samples
 whose bound no longer clears their own distance are queried again in a
 KD-tree (scipy's, imported on the first R^m assignment, so the 1-d path
-never loads it).  Damped Newton steps and their trials read only the
+never loads it).  The first assignment runs the same test from a guessed
+center: a chaos-game sample is born in the cylinder f_w(conv K) of the maps
+just drawn, so the start codebook's point f_w(a*) for the antichain word w
+its address starts with is a guess that Elkan's half-gap lemma certifies
+for nearly every sample.  Damped Newton steps and their trials read only the
 samples of the cells still moving, and at r = 0 a recentering searches
 only the cells whose samples or center changed since the previous one
 (both read every sample while those cells hold more than half of them),
@@ -56,7 +60,8 @@ Cantor measure at n = 2^k the optimal one), from one priority walk per
 ladder.  Fits on bare sample sets, and codebooks asked for without a
 start, seed from the samples' split tree: the same priority split, made
 on cells of samples instead of words (Linde, Buzo & Gray's splitting
-design), with every rung a prefix of one tree.
+design), with every rung a prefix of one tree.  A ladder's rungs run in
+turn on the calling thread, in every dimension.
 
 Everything is reproducible: the chaos game is driven by a single integer
 seed, and nothing after it draws random numbers.
@@ -73,8 +78,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit
-from .ifs import WIFS, antichain_words, attractor_hull, compose_words, point_images, stack_maps
-from .util import parallel_map
+from .ifs import (WIFS, antichain_index, antichain_words, attractor_hull, compose_words,
+                  point_images, stack_maps)
+from .util import parallel_map  # noqa: F401  (perfbench's trace wraps quantize.parallel_map)
 
 __all__ = [
     "SampleSet",
@@ -137,9 +143,16 @@ _D_FLOOR = 1e-150
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Points drawn from (or standing in for) an invariant measure."""
+    """Points drawn from (or standing in for) an invariant measure.
+
+    ``picks``, on a set that :func:`chaos_game` drew, holds the orbit's
+    0-based map indices in draw order, burn-in first: they address each
+    sample's cylinder (see :func:`~qdim.ifs.antichain_index`).  A bare
+    sample set has none.
+    """
 
     points: np.ndarray
+    picks: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -152,6 +165,13 @@ class SampleSet:
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        if self.picks is not None:
+            picks = np.array(self.picks)
+            if picks.ndim != 1 or picks.size < pts.shape[0]:
+                raise ValueError(f"picks must be one index per orbit step, at least one per "
+                                 f"sample, got shape {picks.shape}")
+            picks.flags.writeable = False
+            object.__setattr__(self, "picks", picks)
 
     @property
     def count(self) -> int:
@@ -166,17 +186,24 @@ class SampleSet:
         """The points' :func:`_line_values`, sorted once for every codebook."""
         return _line_values(self.points)
 
+    @functools.cached_property
+    def first_order(self) -> np.ndarray:
+        """The samples' stable order by first coordinate (ties in sample
+        order), made once for every codebook's cell runs."""
+        return np.argsort(self.points[:, 0], kind="stable")
+
 
 def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleSet:
     """Sample the invariant measure by the random iteration algorithm.
 
     Starts at the attractor-hull centre, applies ``burn_in`` warm-up steps,
-    then records ``count`` further iterates.  The orbit is composed by one
-    doubling scan over the drawn affine steps, in every dimension: after the
-    pass at width ``step``, step k holds the composition of the 2 * step
-    steps ending at k (of all of them, with the start folded into step 0,
-    once k < 2 * step), so ceil(log2(burn_in + count)) passes leave the
-    whole orbit.  The scan runs coordinate-major: ``lin[i, j]`` is the
+    then records ``count`` further iterates, keeping the drawn map indices
+    as ``picks`` in the smallest unsigned type.  The orbit is composed by
+    one doubling scan over the drawn affine steps, in every dimension:
+    after the pass at width ``step``, step k holds the composition of the
+    2 * step steps ending at k (of all of them, with the start folded into
+    step 0, once k < 2 * step), so ceil(log2(burn_in + count)) passes leave
+    the whole orbit.  The scan runs coordinate-major: ``lin[i, j]`` is the
     (i, j) entry of every step's linear part and ``x[i]`` its offset's
     coordinate i, each one contiguous row, and a pass forms every entry of
     the new offsets, then of the new linear parts, as a sum of row products
@@ -196,7 +223,7 @@ def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleS
     lin = np.take(mats.transpose(1, 2, 0), picks, axis=2)
     x = np.take(tr.T, picks, axis=1)
     x[:, 0] += mats[picks[0]] @ attractor_hull(wifs).center
-    del picks
+    picks = picks.astype(np.min_scalar_type(wifs.n_maps - 1))
     step = 1
     while step < total:
         new = np.empty((m, m, total - step))
@@ -218,7 +245,7 @@ def chaos_game(wifs: WIFS, count: int, seed: int, burn_in: int = 100) -> SampleS
         lin[:-1, -1, step:] = new[:-1, -1]
         del new, last
         step *= 2
-    return SampleSet(points=x[:, burn_in:].T)
+    return SampleSet(points=x[:, burn_in:].T, picks=picks)
 
 
 def _row_products(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -255,13 +282,15 @@ def _line_values(x: np.ndarray) -> np.ndarray | None:
     return xs
 
 
-def _assigner(x: np.ndarray, xs: np.ndarray | None = None):
+def _assigner(x: np.ndarray, xs: np.ndarray | None = None, first=None,
+              guess: np.ndarray | None = None):
     """A fresh assigner for one Lloyd run over samples ``x``: a :class:`_Line`
     over their sorted values ``xs`` (sorted here when not given) on a line,
-    else a :class:`_BoundedAssign`."""
+    else a :class:`_BoundedAssign` with the order source ``first`` and the
+    first guess ``guess`` (see there)."""
     if x.shape[1] == 1:
         return _Line(_line_values(x) if xs is None else xs)
-    return _BoundedAssign(x, np.ascontiguousarray(x.T))
+    return _BoundedAssign(x, np.ascontiguousarray(x.T), first, guess)
 
 
 class _Line:
@@ -352,10 +381,14 @@ class _Slices:
 
 class _Indexed:
     """The cells of samples ``xt`` (an (m, k) array) in R^m: sample i lies in
-    cell ``idx[i]``.  Sums are ``np.bincount`` in sample order."""
+    cell ``idx[i]``.  Sums are ``np.bincount`` in sample order.  ``first``,
+    when given, returns the samples' stable order by first coordinate for
+    :meth:`ranked` (a cells object without it, a restricted copy included,
+    sorts its own samples)."""
 
-    def __init__(self, xt: np.ndarray, idx: np.ndarray, n: int, counts: np.ndarray | None = None):
-        self.xt, self.idx, self.n = xt, idx, n
+    def __init__(self, xt: np.ndarray, idx: np.ndarray, n: int, counts: np.ndarray | None = None,
+                 first=None):
+        self.xt, self.idx, self.n, self.first = xt, idx, n, first
         self.counts = np.bincount(idx, minlength=n) if counts is None else counts
 
     def sum(self, v: np.ndarray) -> np.ndarray:
@@ -382,7 +415,11 @@ class _Indexed:
 
     @functools.cached_property
     def _runs(self) -> np.ndarray:
-        return np.lexsort((self.xt[0], self.idx))
+        """``np.lexsort((xt[0], idx))``: the first-coordinate order, then a
+        stable (radix, on one- and two-byte cells) sort by cell."""
+        first = np.argsort(self.xt[0], kind="stable") if self.first is None else self.first()
+        cell = self.idx[first].astype(np.min_scalar_type(self.n - 1))
+        return first[np.argsort(cell, kind="stable")]
 
     @property
     def run_starts(self) -> np.ndarray:
@@ -411,44 +448,50 @@ class _Indexed:
 class _BoundedAssign:
     """Exact nearest-center assignment in R^m along one Lloyd run's codebooks.
 
-    Each sample keeps its center ``idx`` and a lower bound ``low`` on its
+    Each sample keeps a center ``idx`` and a lower bound ``low`` on its
     distance to every other center.  A new codebook lowers ``low`` by the
     largest drift among the other centers (Hamerly, SDM 2010), then raises
-    it to ``gap - d``, where ``gap`` is the own center's distance to its
-    nearest other center (Elkan, ICML 2003: |x - c_j| >= |c_a - c_j| - d).
-    ``d`` is computed exactly, as the KD-tree computes it.  A sample
-    whose ``d`` stays below ``low`` by ``_BOUND_SLACK`` times the scale
-    keeps its center; only the others are queried again.  Each call returns
-    the codebook, new ``d`` and the cells of new ``idx``, equal to
-    ``cKDTree(code).query(x, k=1)``.
+    it to ``gap - d``, where ``gap`` is the center's distance to its nearest
+    other center (Elkan, ICML 2003: |x - c_j| >= |c_a - c_j| - d, for any
+    center a).  ``d`` is computed exactly, as the KD-tree computes it.  A
+    sample whose ``d`` stays below ``low`` by ``_BOUND_SLACK`` times the
+    scale keeps its center; only the others are queried in the tree.  The
+    first call runs the same test from ``guess`` (all zeros without one),
+    with ``low = -inf`` and no drift, so a good guess, such as each
+    chaos-game sample's own cylinder (:func:`~qdim.ifs.antichain_index`),
+    spares most of the first query.  Each call returns the codebook, new
+    ``d`` and the cells of new ``idx`` (with the order source ``first``, see
+    :class:`_Indexed`), equal to ``cKDTree(code).query(x, k=1)`` whatever
+    the guess.
     """
 
-    def __init__(self, x: np.ndarray, xt: np.ndarray):
+    def __init__(self, x: np.ndarray, xt: np.ndarray, first=None, guess: np.ndarray | None = None):
         self.x, self.xt = x, xt
         self.scale = max(1.0, float(np.max(np.abs(xt))))
+        self.first = first
         self.code: np.ndarray | None = None
+        self.idx = np.zeros(x.shape[0], dtype=np.intp) if guess is None else guess
+        self.low = np.full(x.shape[0], -np.inf)
 
     def __call__(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Indexed]:
         from scipy.spatial import cKDTree
 
         tree = cKDTree(code)
         slack = _BOUND_SLACK * max(self.scale, float(np.max(np.abs(code))))
-        if self.code is None:
-            d, idx, low = _query_two(tree, self.x, slack)
-        else:
-            idx, low = self.idx.copy(), self.low
+        idx, low = self.idx.copy(), self.low
+        if self.code is not None:
             low -= _largest_other(_norm((code - self.code).T), idx)
-            d = _norm(_offsets(self.xt, idx, code))
-            bound = tree.query(code, k=2)[0][idx, 1]
-            bound -= d
-            np.maximum(low, bound, out=low)
-            bound = np.subtract(low, slack, out=bound)
-            stale = np.flatnonzero(~(d < bound))
-            del bound
-            if stale.size:
-                d[stale], idx[stale], low[stale] = _query_two(tree, self.x[stale], slack)
+        d = _norm(_offsets(self.xt, idx, code))
+        bound = tree.query(code, k=2)[0][idx, 1]
+        bound -= d
+        np.maximum(low, bound, out=low)
+        bound = np.subtract(low, slack, out=bound)
+        stale = np.flatnonzero(~(d < bound))
+        del bound
+        if stale.size:
+            d[stale], idx[stale], low[stale] = _query_two(tree, self.x[stale], slack)
         self.code, self.idx, self.low = code.copy(), idx, low
-        return code, d, _Indexed(self.xt, idx, code.shape[0])
+        return code, d, _Indexed(self.xt, idx, code.shape[0], first=self.first)
 
 
 def _query_two(tree: cKDTree, x: np.ndarray, slack: float
@@ -618,9 +661,12 @@ def _best_candidates(cells, code: np.ndarray, r: float, incumbent: np.ndarray,
     searched, over their own samples; the rest keep the incumbent.  Returns
     the centers and their per-cell objectives.
     """
+    # Candidates come from the runs of ``cells`` and are scored on ``part``,
+    # so a restricted copy never orders its samples again.
     searched = cells.counts > 0
+    part = cells
     if mask is not None:
-        cells = cells.restrict(mask)
+        part = cells.restrict(mask)
         searched &= mask
     ne = np.flatnonzero(searched)
     starts = cells.run_starts[ne]
@@ -635,7 +681,7 @@ def _best_candidates(cells, code: np.ndarray, r: float, incumbent: np.ndarray,
         for q in range(_LOG_CANDIDATES):
             rank = lo + (span * q) // (_LOG_CANDIDATES - 1)
             cand[ne] = cells.ranked(starts + rank).T
-            val = _cell_objective(cells, cand, r)[ne]
+            val = _cell_objective(part, cand, r)[ne]
             better = val < best_val[ne]
             won = ne[better]
             best_val[won] = val[better]
@@ -903,6 +949,12 @@ def antichain_codebooks(wifs: WIFS, sizes, r: float) -> dict[int, np.ndarray]:
     :func:`~qdim.ifs.point_images` call sends a* through them.  Raises
     ``DegenerateFit`` for n > 1 on a one-map system.
     """
+    return _antichain_starts(wifs, sizes, r)[0]
+
+
+def _antichain_starts(wifs: WIFS, sizes, r: float) -> tuple[dict, dict]:
+    """:func:`antichain_codebooks` and the antichains Gamma_n they come
+    from, from one :func:`~qdim.ifs.antichain_words` walk."""
     gammas = antichain_words(wifs, sizes, r)
     s, iso, t = stack_maps(wifs.maps)
     drift = np.sum((wifs.probs * s)[:, None, None] * iso, axis=0)
@@ -911,13 +963,17 @@ def antichain_codebooks(wifs: WIFS, sizes, r: float) -> dict[int, np.ndarray]:
     depth = max(map(len, words))
     symbols = np.reshape([w + (0,) * (depth - len(w)) for w in words], (len(words), depth))
     points = point_images(*compose_words(wifs, symbols), mean[None])[:, 0]
-    return dict(zip(gammas, np.split(points, np.cumsum(list(gammas))[:-1])))
+    return dict(zip(gammas, np.split(points, np.cumsum(list(gammas))[:-1]))), gammas
 
 
 def optimize_codebook(samples: SampleSet, n: int, r: float,
-                      start: np.ndarray | None = None) -> Codebook:
+                      start: np.ndarray | None = None, _words=None) -> Codebook:
     """One Lloyd run from ``start``, an (n, m) codebook, or from the n leaf
     centers of the samples' split tree (see :func:`_split_tree`) without it.
+
+    ``_words``, private, are the antichain whose points ``start`` holds, in
+    its row order: in R^m the run's first assignment then starts from each
+    chaos-game sample's own cylinder (:func:`~qdim.ifs.antichain_index`).
 
     No random numbers are drawn.  When ``n`` is at least the sample count
     the distinct sample points themselves are returned (distortion 0, or
@@ -937,7 +993,10 @@ def optimize_codebook(samples: SampleSet, n: int, r: float,
 
     if start is None:
         start = _split_tree(samples, r, [n])[n]
-    assign = _assigner(x, samples.line_values)
+    guess = None
+    if _words is not None and samples.picks is not None and samples.dim > 1:
+        guess = antichain_index(_words, samples.picks, samples.count)
+    assign = _assigner(x, samples.line_values, lambda: samples.first_order, guess)
     code, _, dist, history, capped = _lloyd(assign, np.array(start, dtype=float), r)
     return Codebook(points=code[np.lexsort(code.T[::-1])], r=r, distortion=dist,
                     rounds=len(history), capped=capped)
@@ -1033,19 +1092,22 @@ def fit_dimension(wifs: WIFS, r: float, n_list, samples_per_run: int, seed: int,
     ``DegenerateFit`` for a one-map system.
     """
     ns = _ladder(n_list, r, samples_per_run)
-    starts = antichain_codebooks(wifs, ns, r)
-    return _fit_ladder(chaos_game(wifs, samples_per_run, seed, burn_in=burn_in), r, ns, starts)
+    starts, words = _antichain_starts(wifs, ns, r)
+    samples = chaos_game(wifs, samples_per_run, seed, burn_in=burn_in)
+    return _fit_ladder(samples, r, ns, starts, words)
 
 
-def _fit_ladder(samples: SampleSet, r: float, ns: list[int], starts: dict) -> DimensionFit:
+def _fit_ladder(samples: SampleSet, r: float, ns: list[int], starts: dict,
+                words: dict | None = None) -> DimensionFit:
     """One Lloyd run per rung n of the :func:`_ladder` ``ns`` from
-    ``starts[n]``, and the log errors regressed on log n.  A line's rungs
-    run in turn, as numpy holds the GIL for most of a rung; in R^m the
-    KD-tree queries release it, so there the rungs share a thread pool."""
-    def run(n: int) -> Codebook:
-        return optimize_codebook(samples, n, r, start=starts[n])
-
-    books = [run(n) for n in ns] if samples.dim == 1 else parallel_map(run, ns)
+    ``starts[n]`` (and, given, the antichain ``words[n]`` it holds), and the
+    log errors regressed on log n.  The rungs run in turn, on the calling
+    thread, in every dimension: on a line numpy holds the GIL for most of a
+    rung, and in R^m a rung's first assignment, which starts from each
+    sample's own cylinder, queries the KD-tree for a few samples only, so
+    threads would have little to overlap."""
+    books = [optimize_codebook(samples, n, r, start=starts[n],
+                               _words=None if words is None else words[n]) for n in ns]
     vs = [book.distortion for book in books]
 
     xs = np.log(np.array(ns, dtype=float))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qdim.ifs as ifs
 import qdim.quantize as quantize
 from qdim.errors import DegenerateFit
 from qdim.ifs import WIFS, Similitude, antichain_words, attractor_hull, compose_words, similitude_1d
@@ -827,13 +828,45 @@ def _still_codebook(m):
            np.array([[0.6115573595124887, 0.6571479772153529], [1.722372870770756, 1.9610694361018668],
                      [-1.7447515009489143, -0.8987879231198996]])]))
 def test_bounded_assignment_matches_full_query(case):
+    # The first call starts from a guess, certified by the same half-gap
+    # bound as every later call: the guess may be right, random, all zero
+    # or the farthest center, and no call may depend on it.
     x, codes = case
-    assign = _BoundedAssign(x, np.ascontiguousarray(x.T))
-    for code in codes:
-        _, d, cells = assign(code)
-        want_d, want_idx = cKDTree(code).query(x, k=1)
-        np.testing.assert_array_equal(cells.idx, want_idx)
-        np.testing.assert_array_equal(d, want_d)
+    want = [cKDTree(code).query(x, k=1) for code in codes]
+    n = codes[0].shape[0]
+    span = np.linalg.norm(x[:, None] - codes[0][None], axis=2)
+    guesses = [want[0][1], np.random.default_rng(x.shape[0]).integers(0, n, x.shape[0]),
+               np.zeros(x.shape[0], dtype=np.intp), np.argmax(span, axis=1)]
+    for guess in guesses:
+        assign = _BoundedAssign(x, np.ascontiguousarray(x.T), guess=guess.astype(np.intp))
+        for code, (want_d, want_idx) in zip(codes, want):
+            _, d, cells = assign(code)
+            np.testing.assert_array_equal(cells.idx, want_idx)
+            np.testing.assert_array_equal(d, want_d)
+
+
+def test_cell_runs_are_the_lexsort_order():
+    # One stable first-coordinate order per sample set, then a stable sort
+    # by cell: the permutation np.lexsort((x0, idx)) gives, ties (and +-0.0)
+    # in sample order, on one- and two-byte cells and on restricted cells.
+    rng = np.random.default_rng(61)
+    x = rng.integers(-3, 4, size=(3000, 2)).astype(float)
+    x[::7, 0], x[::5, 0] = -0.0, 0.0
+    samples = SampleSet(points=x)
+    xt = np.ascontiguousarray(x.T)
+    for n in (1, 5, 300):
+        idx = rng.integers(0, n, size=x.shape[0])
+        for first in (None, lambda: samples.first_order):
+            cells = _Indexed(xt, idx, n, first=first)
+            np.testing.assert_array_equal(cells._runs, np.lexsort((x[:, 0], idx)))
+        mask = rng.random(n) < 0.3
+        mask[0] = True
+        part = cells.restrict(mask)
+        np.testing.assert_array_equal(part._runs, np.lexsort((part.xt[0], part.idx)))
+        for c in np.flatnonzero(mask):
+            ranks = np.arange(cells.counts[c])
+            np.testing.assert_array_equal(part.ranked(part.run_starts[c] + ranks),
+                                          cells.ranked(cells.run_starts[c] + ranks))
 
 
 @pytest.mark.parametrize("m", range(1, 12))
@@ -1110,6 +1143,75 @@ def test_antichain_ladder_walk_equals_the_per_size_walk(w):
             np.testing.assert_array_equal(codes[n], antichain_codebooks(w, [n], r)[n])
 
 
+def _random_plane_wifs(rng):
+    """2 to 6 turned maps of ratio 0.15 to 0.45 in the unit square."""
+    maps = []
+    for _ in range(int(rng.integers(2, 7))):
+        a = rng.uniform(0.0, 2 * np.pi)
+        iso = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        maps.append(Similitude(rng.uniform(0.15, 0.45), iso, rng.uniform(0.0, 1.0, 2)))
+    probs = rng.uniform(0.1, 1.0, len(maps))
+    return WIFS(maps=tuple(maps), probs=probs / probs.sum())
+
+
+@pytest.mark.parametrize("burn_in", [0, 1, 100])
+def test_antichain_index_follows_each_sample_address(burn_in):
+    # Sample k of the orbit lies in the cylinder of (i_t, i_{t-1}, ...),
+    # t = burn_in + k.  Wherever a word of Gamma_n starts that address
+    # within its first burn_in + 1 symbols, the helper names that word;
+    # elsewhere (an omitted child of a partial split, an address cut
+    # short) it may name any word.
+    rng = np.random.default_rng(burn_in)
+    hits = total = 0
+    for trial in range(6):
+        w = _random_plane_wifs(rng)
+        samples = chaos_game(w, 300, seed=trial, burn_in=burn_in)
+        picks = samples.picks
+        assert picks.dtype == np.uint8 and picks.size == burn_in + 300 and not picks.flags.writeable
+        for r, gammas in ((0.0, antichain_words(w, [16, 17, 18, 19, 128], 0.0)),
+                          (2.0, antichain_words(w, [16, 17, 18, 19, 128], 2.0))):
+            for n, words in gammas.items():
+                got = ifs.antichain_index(words, picks, samples.count)
+                assert got.shape == (300,) and got.min() >= 0 and got.max() < n
+                where = {word: i for i, word in enumerate(words)}
+                for k in range(samples.count):
+                    address = tuple(int(picks[burn_in + k - j]) + 1 for j in range(burn_in + 1))
+                    want = next((where[address[:d]] for d in range(1, len(address) + 1)
+                                 if address[:d] in where), None)
+                    total += 1
+                    if want is not None:
+                        hits += 1
+                        assert got[k] == want
+    assert hits > (0.9 if burn_in == 100 else 0.0) * total
+    assert SampleSet(points=np.zeros((3, 2))).picks is None
+
+
+def test_cylinder_guess_spares_most_first_queries(monkeypatch):
+    # On the dust's antichain starts each rung's first assignment certifies
+    # nearly every sample's own cylinder center by the half-gap bound, so
+    # the KD-tree answers for under 5% of them.
+    queried, first = [], []
+    query, call = quantize._query_two, _BoundedAssign.__call__
+
+    def count_query(tree, x, slack):
+        queried.append(len(x))
+        return query(tree, x, slack)
+
+    def count_first(self, code):
+        fresh, before = self.code is None, sum(queried)
+        out = call(self, code)
+        if fresh:
+            first.append(sum(queried) - before)
+        return out
+
+    monkeypatch.setattr(quantize, "_query_two", count_query)
+    monkeypatch.setattr(_BoundedAssign, "__call__", count_first)
+    for r in (0.0, 2.0):
+        first.clear()
+        fit_dimension(_dust(), r, [16, 32, 64, 128], 15_000, seed=2101)
+        assert len(first) == 4 and max(first) < 0.05 * 15_000, first
+
+
 def test_antichain_codebook_of_one_map_cannot_split():
     single = WIFS(maps=(similitude_1d(1 / 3, 0.0),), probs=(1.0,))
     np.testing.assert_allclose(antichain_codebooks(single, [1], 2.0)[1], [[0.0]])
@@ -1265,20 +1367,17 @@ def test_split_tree_repeats_leaves_past_the_distinct_samples():
     assert book.distortion == 0.0
 
 
-def test_a_line_ladder_runs_on_the_calling_thread(monkeypatch):
-    # A line's rungs only contend for the GIL, so they never enter the
-    # pool; in R^m its threads overlap the rungs' KD-tree queries.
+def test_every_ladder_runs_on_the_calling_thread(monkeypatch):
+    # A line's rungs only contend for the GIL, and an R^m rung's first
+    # assignment starts from each sample's own cylinder, leaving threads
+    # little KD-tree work to overlap: no ladder enters the pool.
     def refuse(fn, items):
-        raise AssertionError("a line ladder entered the thread pool")
+        raise AssertionError("a ladder entered the thread pool")
 
     monkeypatch.setattr(quantize, "parallel_map", refuse)
-    fit_dimension(cantor(), 2.0, [4, 8, 16], 3000, seed=3)
-    fit_dimension_from_samples(chaos_game(cantor(), 3000, seed=3), 0.0, [4, 8, 16])
-    pooled = []
-    monkeypatch.setattr(quantize, "parallel_map", lambda fn, ns: pooled.append(ns) or list(map(fn, ns)))
-    fit_dimension(_dust(), 2.0, [4, 8, 16], 3000, seed=3)
-    fit_dimension_from_samples(chaos_game(_dust(), 3000, seed=3), 0.0, [4, 8, 16])
-    assert pooled == [[4, 8, 16]] * 2
+    for w in (cantor(), _dust()):
+        fit_dimension(w, 2.0, [4, 8, 16], 3000, seed=3)
+        fit_dimension_from_samples(chaos_game(w, 3000, seed=3), 0.0, [4, 8, 16])
 
 
 @pytest.mark.parametrize("w", [cantor(), _dust()], ids=["line", "plane"])
