@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,12 @@ from .geometry import Box
 from .ifs import WIFS, Similitude, Word, attractor_hull, compose_words, wifs_from_json_obj
 from .measures import (
     DiscreteMeasure,
+    _csv_blocks,
     box_mass,
     convolve,
     dl,
     measure_from_csv,
     measure_from_json_obj,
-    measure_to_csv,
     measure_to_json_obj,
     mix,
     translate,
@@ -63,11 +64,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``text``, or its pieces in turn, to ``out_path`` or stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(obj, out_path: str | None) -> None:
@@ -90,17 +94,20 @@ def _load_wifs(path: str) -> WIFS:
 
 
 def _load_measure(field: str, path: str) -> DiscreteMeasure:
-    p = Path(path)
+    """The measure in the JSON or CSV file ``path``, refused as invalid input
+    in ``field``.  A CSV file is handed to :func:`measure_from_csv` open, so
+    ``np.loadtxt`` parses its lines as they are read: no whole-file string
+    or per-line list is built."""
     try:
-        raw = p.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            try:
+                if Path(path).suffix.lower() == ".json":
+                    return measure_from_json_obj(json.load(f))
+                return measure_from_csv(f)
+            except (QdimError, ValueError) as exc:  # decoding errors are ValueErrors too
+                raise _Invalid(field, f"{path!r}: {exc}") from exc
     except OSError as exc:
         raise _Invalid(field, f"cannot read measure file {path!r}: {exc}") from exc
-    try:
-        if p.suffix.lower() == ".json":
-            return measure_from_json_obj(json.loads(raw))
-        return measure_from_csv(raw)
-    except (QdimError, ValueError, json.JSONDecodeError) as exc:
-        raise _Invalid(field, f"{path!r}: {exc}") from exc
 
 
 def _parse_floats(field: str, text: str) -> list[float]:
@@ -307,10 +314,11 @@ def _result(field: str, op, *operands) -> DiscreteMeasure:
 
 
 def _write_measure(measure: DiscreteMeasure, out_path: str | None) -> None:
+    """JSON to a ``.json`` path, else CSV written a block of rows at a time."""
     if out_path and out_path.lower().endswith(".json"):
         _emit_json(measure_to_json_obj(measure), out_path)
     else:
-        _emit(measure_to_csv(measure), out_path)
+        _emit(_csv_blocks(measure), out_path)
 
 
 def _cmd_measure(args) -> int:

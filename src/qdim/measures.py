@@ -13,9 +13,10 @@ the operations needed downstream:
   checked duality certificate in R^m),
 * ``tv`` -- total-variation-style distance on atoms,
 * ``box_mass`` -- mass of a half-open box, for measures or sample clouds,
-* CSV and JSON readers and writers, which move whole columns at a time and
-  write each number as its shortest round-trip decimal (the CSV writer
-  formats each distinct value of a column once).
+* CSV and JSON readers and writers, which write each number as its
+  shortest round-trip decimal.  The CSV writer formats blocks of rows, each
+  distinct value of a block's column once, and the reader parses a stream
+  of lines, so neither holds a Python object per row of a whole file.
 
 Only the R^m route of ``dl`` needs scipy (``scipy.optimize.linprog`` and
 ``scipy.sparse``); it imports them on its first call, so importing this
@@ -28,7 +29,9 @@ because approximate merging would silently change masses.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -64,6 +67,10 @@ _HIGHS_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
 
 _NORMALIZATION_TOL = 1e-9
+
+#: Rows per block of the CSV writer: a block's field strings are the only
+#: per-row Python objects the writer holds at a time.
+_CSV_BLOCK_ROWS = 4096
 
 
 def linprog(*args, **kwargs):
@@ -244,14 +251,19 @@ def dl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 
 def _dl_sorted_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """1-d exact distance: integral of |F_mu - F_nu| over the real line."""
+    """1-d exact distance: integral of |F_mu - F_nu| over the real line.
+
+    The CDF difference is made absolute and weighted by the grid steps in
+    place, one grid-length buffer for each CDF and one for the steps.
+    """
     grid = np.unique(np.concatenate([mu.atoms[:, 0], nu.atoms[:, 0]]))
     if grid.shape[0] == 1:
         return 0.0
-    f_mu = _cdf_on_grid(mu, grid)
-    f_nu = _cdf_on_grid(nu, grid)
-    dx = np.diff(grid)
-    return float(np.sum(np.abs(f_mu[:-1] - f_nu[:-1]) * dx))
+    gap = _cdf_on_grid(mu, grid)
+    gap -= _cdf_on_grid(nu, grid)
+    gap = np.abs(gap[:-1], out=gap[:-1])
+    gap *= np.diff(grid)
+    return float(np.sum(gap))
 
 
 def _cdf_on_grid(mu: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:
@@ -259,7 +271,7 @@ def _cdf_on_grid(mu: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(grid, mu.atoms[:, 0])
     masses = np.zeros(grid.shape[0])
     np.add.at(masses, idx, mu.weights)
-    return np.cumsum(masses)
+    return np.cumsum(masses, out=masses)
 
 
 def _dl_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -362,43 +374,57 @@ def box_mass(obj, box: Box) -> float:
 
 
 def measure_to_csv(mu: DiscreteMeasure) -> str:
-    """CSV text with header ``x1,...,xm,weight`` and shortest-roundtrip floats.
+    """CSV text with header ``x1,...,xm,weight`` and shortest-roundtrip floats:
+    the blocks of :func:`_csv_blocks`, joined."""
+    return "".join(_csv_blocks(mu))
 
-    Each distinct value of a column is formatted once, by ``repr`` (the
-    shortest round-trip decimal of a Python float), and its string is
-    gathered back to every row that holds it; one ``join`` builds the text
-    from fields at the even places and separators at the odd ones.  Values
-    that ``np.unique`` counts equal have equal ``repr`` because a
-    :class:`DiscreteMeasure` holds no -0.0 and no NaN.
+
+def _csv_blocks(mu: DiscreteMeasure) -> Iterator[str]:
+    """The CSV text of :func:`measure_to_csv` in pieces: the header line, then
+    the rows in blocks of ``_CSV_BLOCK_ROWS``.
+
+    Within a block each distinct value of a column is formatted once, by
+    ``repr`` (the shortest round-trip decimal of a Python float), and its
+    string is gathered back to every row that holds it; one ``join`` builds
+    the block from fields at the even places and separators at the odd
+    ones.  Values that ``np.unique`` counts equal have equal ``repr``
+    because a :class:`DiscreteMeasure` holds no -0.0 and no NaN.
     """
-    header = ",".join(f"x{i + 1}" for i in range(mu.dim)) + ",weight\n"
+    yield ",".join(f"x{i + 1}" for i in range(mu.dim)) + ",weight\n"
     cols = [*mu.atoms.T, mu.weights]
     step = 2 * len(cols)
-    parts = [","] * (step * mu.size)
-    parts[step - 1::step] = ["\n"] * mu.size
-    for j, col in enumerate(cols):
-        values, inverse = np.unique(col, return_inverse=True)
-        strings = np.array(list(map(repr, values.tolist())), dtype=object)
-        parts[2 * j::step] = strings[inverse].tolist()
-    return header + "".join(parts)
+    for lo in range(0, mu.size, _CSV_BLOCK_ROWS):
+        rows = min(_CSV_BLOCK_ROWS, mu.size - lo)
+        parts = [","] * (step * rows)
+        parts[step - 1::step] = ["\n"] * rows
+        for j, col in enumerate(cols):
+            values, inverse = np.unique(col[lo:lo + rows], return_inverse=True)
+            strings = np.array(list(map(repr, values.tolist())), dtype=object)
+            parts[2 * j::step] = strings[inverse].tolist()
+        yield "".join(parts)
 
 
-def measure_from_csv(text: str) -> DiscreteMeasure:
-    """Measure from :func:`measure_to_csv` text, parsed as whole columns.
+def measure_from_csv(text: str | Iterable[str]) -> DiscreteMeasure:
+    """Measure from :func:`measure_to_csv` text, or from an iterable of its
+    lines such as an open file, which is parsed as it is read.
 
     Raises ``ValueError`` for a missing header, no atom rows, rows of unequal
     length or of another length than the header, non-numeric fields and
-    non-finite values.  Blank lines are skipped.
+    non-finite values.  Lines are stripped, and blank ones skipped, before
+    ``np.loadtxt`` parses the rows after the header.
     """
-    rows = text.strip().splitlines()
-    if not rows or not rows[0].strip().endswith("weight"):
+    lines = text.splitlines() if isinstance(text, str) else text
+    rows = filter(None, map(str.strip, lines))
+    header = next(rows, "")
+    if not header.endswith("weight"):
         raise ValueError("measure CSV needs a header ending in 'weight'")
-    if len(rows) == 1:
+    first = next(rows, None)
+    if first is None:
         raise ValueError("measure CSV has no atom rows")
-    data = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+    data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", comments=None, ndmin=2)
     if data.shape[1] < 2:
         raise ValueError("measure CSV needs at least one coordinate column plus weight")
-    width = rows[0].count(",") + 1
+    width = header.count(",") + 1
     if data.shape[1] != width:
         raise ValueError(f"measure CSV header has {width} columns, its rows {data.shape[1]}")
     return DiscreteMeasure(data[:, :-1], data[:, -1])

@@ -44,12 +44,13 @@ center: a chaos-game sample is born in the cylinder f_w(conv K) of the maps
 just drawn, so the start codebook's point f_w(a*) for the antichain word w
 its address starts with is a guess that Elkan's half-gap lemma certifies
 for nearly every sample.  Damped Newton steps and their trials read only the
-samples of the cells still moving, and at r = 0 a recentering searches
-only the cells whose samples or center changed since the previous one
-(both read every sample while those cells hold more than half of them),
-and a run stops once no cell changed.  A cell's sum depends only on its
-own samples in their order, so every assignment, center and distortion is
-bit-identical to full rescans and per-sample searches.
+samples of the cells still moving, and at r = 0 and the Newton orders a
+recentering searches only the cells whose samples or center changed since
+the previous one, or that hit the step cap (both read every sample while
+those cells hold more than half of them), and a run stops once none did.
+A cell's sum depends only on its own samples in their order, so every
+assignment, center and distortion is bit-identical to full rescans and
+per-sample searches.
 
 Every Lloyd run starts from one deterministic codebook.  A fit that knows
 its system (:func:`fit_dimension`) seeds each rung with the system's own
@@ -456,13 +457,13 @@ class _BoundedAssign:
     center a).  ``d`` is computed exactly, as the KD-tree computes it.  A
     sample whose ``d`` stays below ``low`` by ``_BOUND_SLACK`` times the
     scale keeps its center; only the others are queried in the tree.  The
-    first call runs the same test from ``guess`` (all zeros without one),
-    with ``low = -inf`` and no drift, so a good guess, such as each
-    chaos-game sample's own cylinder (:func:`~qdim.ifs.antichain_index`),
-    spares most of the first query.  Each call returns the codebook, new
-    ``d`` and the cells of new ``idx`` (with the order source ``first``, see
-    :class:`_Indexed`), equal to ``cKDTree(code).query(x, k=1)`` whatever
-    the guess.
+    first call runs the same test from ``guess``, with ``low = -inf`` and
+    no drift, so a good guess, such as each chaos-game sample's own cylinder
+    (:func:`~qdim.ifs.antichain_index`), spares most of the first query;
+    without a guess it queries every sample.  Each call returns the
+    codebook, new ``d`` and the cells of new ``idx`` (with the order source
+    ``first``, see :class:`_Indexed`), equal to ``cKDTree(code).query(x,
+    k=1)`` whatever the guess.
     """
 
     def __init__(self, x: np.ndarray, xt: np.ndarray, first=None, guess: np.ndarray | None = None):
@@ -470,7 +471,7 @@ class _BoundedAssign:
         self.scale = max(1.0, float(np.max(np.abs(xt))))
         self.first = first
         self.code: np.ndarray | None = None
-        self.idx = np.zeros(x.shape[0], dtype=np.intp) if guess is None else guess
+        self.idx = guess
         self.low = np.full(x.shape[0], -np.inf)
 
     def __call__(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Indexed]:
@@ -478,18 +479,21 @@ class _BoundedAssign:
 
         tree = cKDTree(code)
         slack = _BOUND_SLACK * max(self.scale, float(np.max(np.abs(code))))
-        idx, low = self.idx.copy(), self.low
-        if self.code is not None:
-            low -= _largest_other(_norm((code - self.code).T), idx)
-        d = _norm(_offsets(self.xt, idx, code))
-        bound = tree.query(code, k=2)[0][idx, 1]
-        bound -= d
-        np.maximum(low, bound, out=low)
-        bound = np.subtract(low, slack, out=bound)
-        stale = np.flatnonzero(~(d < bound))
-        del bound
-        if stale.size:
-            d[stale], idx[stale], low[stale] = _query_two(tree, self.x[stale], slack)
+        if self.idx is None:
+            d, idx, low = _query_two(tree, self.x, slack)
+        else:
+            idx, low = self.idx.copy(), self.low
+            if self.code is not None:
+                low -= _largest_other(_norm((code - self.code).T), idx)
+            d = _norm(_offsets(self.xt, idx, code))
+            bound = tree.query(code, k=2)[0][idx, 1]
+            bound -= d
+            np.maximum(low, bound, out=low)
+            bound = np.subtract(low, slack, out=bound)
+            stale = np.flatnonzero(~(d < bound))
+            del bound
+            if stale.size:
+                d[stale], idx[stale], low[stale] = _query_two(tree, self.x[stale], slack)
         self.code, self.idx, self.low = code.copy(), idx, low
         return code, d, _Indexed(self.xt, idx, code.shape[0], first=self.first)
 
@@ -579,14 +583,16 @@ def _cell_objective(cells, centers: np.ndarray, r: float) -> np.ndarray:
 
 
 def _recenter(cells, loss: np.ndarray, code: np.ndarray, r: float,
-              changed: np.ndarray | None = None) -> np.ndarray:
-    """Optimal (or safeguarded) new centers for the assignment ``cells``.
+              changed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Optimal (or safeguarded) new centers for the assignment ``cells``, and
+    for the searches (r = 0, damped Newton) the mask of cells they left
+    unfinished (None for the other rules).
 
     ``loss`` holds each sample's :func:`_loss` at its current center.
-    ``changed``, if given at r = 0, masks the cells whose samples or center
-    changed since the recentering that produced ``code``: every other
-    cell's center won that search over the same samples, with the same
-    value, so no candidate can beat it and only the changed cells are
+    ``changed``, if given, masks the cells whose samples or center changed
+    since the search that produced ``code``, or that it left unfinished:
+    every other cell's center ended that search over the same samples, with
+    the same value, so would end it again, and only the changed cells are
     searched.
     """
     n, m = code.shape
@@ -597,7 +603,7 @@ def _recenter(cells, loss: np.ndarray, code: np.ndarray, r: float,
     if r == 2.0:
         sums = cells.sum(cells.xt)
         new[nonempty] = sums[nonempty] / counts[nonempty, None]
-        return new
+        return new, None
 
     if r == 1.0 and m == 1:
         ne = np.flatnonzero(nonempty)
@@ -605,13 +611,13 @@ def _recenter(cells, loss: np.ndarray, code: np.ndarray, r: float,
         lo_mid = cells.ranked(starts + (counts[ne] - 1) // 2)
         hi_mid = cells.ranked(starts + counts[ne] // 2)
         new[ne, 0] = 0.5 * (lo_mid[0] + hi_mid[0])
-        return new
+        return new, None
 
     incumbent = cells.sum(loss)
     if r == 0.0:
-        return _best_candidates(cells, code, r, incumbent, mask=changed)[0]
+        return _best_candidates(cells, code, r, incumbent, mask=changed)[0], np.zeros(n, bool)
     if r >= 1.0:
-        return _damped_newton(cells, code, r, incumbent)
+        return _damped_newton(cells, code, r, incumbent, mask=changed)
 
     # d^r is concave in d: minimisers sit on or near samples, where the
     # majoriser's weights blow up and its steps stall, so the better of its
@@ -625,7 +631,7 @@ def _recenter(cells, loss: np.ndarray, code: np.ndarray, r: float,
     value[take] = cand_value[take]
     worse = value > incumbent
     new[worse] = code[worse]
-    return new
+    return new, None
 
 
 def _weights(d: np.ndarray, r: float) -> np.ndarray:
@@ -716,7 +722,8 @@ def _majorize_minimize(cells, code: np.ndarray, r: float) -> np.ndarray:
     return z
 
 
-def _damped_newton(cells, code: np.ndarray, r: float, value: np.ndarray) -> np.ndarray:
+def _damped_newton(cells, code: np.ndarray, r: float, value: np.ndarray,
+                   mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton steps for r >= 1, all cells at once.
 
     The cell objective ``sum_i |z - x_i|^r`` (per-cell values ``value`` at
@@ -728,21 +735,26 @@ def _damped_newton(cells, code: np.ndarray, r: float, value: np.ndarray) -> np.n
     gradient step scaled by the largest curvature ``max(1, r-1) sum_i w_i``,
     which for r <= 2 is the majorize-minimize (Weiszfeld) step and so
     descends, halved until it lowers the objective.  A cell stops once its
-    step is below tolerance without a decrease.
+    step is below tolerance without a decrease.  Only the cells in ``mask``
+    (all when None) start active.
 
     Each step reads only the samples of the cells still active, and each
     trial only those of the cells it tries (see ``restrict``); per-cell
     sums keep their order, so they equal full-sample sums bit for bit.  A
     cell moves only to a center of lower objective, so no cell ends above
-    its ``value``.
+    its ``value``.  Returns the centers and the mask of the cells still
+    active when ``_NEWTON_STEPS`` stopped them.
     """
     n, m = code.shape
     z = code.copy()
     f = value.copy()
     tol = _STEP_TOL * max(float(np.max(np.abs(cells.xt))), 1.0)
     eye = np.eye(m)
-    active = np.ones(n, dtype=bool)
+    active = np.ones(n, dtype=bool) if mask is None else mask.copy()
     for _ in range(_NEWTON_STEPS):
+        if not active.any():
+            break
+        cells = cells.restrict(active)
         v = cells.offsets(z)
         d = _norm(v)
         w = _weights(d, r)
@@ -787,10 +799,7 @@ def _damped_newton(cells, code: np.ndarray, r: float, value: np.ndarray) -> np.n
                     break
                 t *= 0.5
         active &= moved
-        if not active.any():
-            break
-        cells = cells.restrict(active)
-    return z
+    return z, active
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +822,11 @@ def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, floa
     """Run Lloyd iterations to (near) convergence, or for ``MAX_ROUNDS``
     rounds, every round assigning through ``assign`` (see :func:`_assigner`).
 
-    At r = 0 each recentering searches only the cells whose samples or
-    center changed since the previous one, and the run stops once none did:
-    the next round would measure the same codebook again.  Returns the last
+    Under the searching rules (r = 0, and damped Newton: r >= 1 other than
+    r = 2 and, on a line, r = 1) each recentering searches only the cells
+    whose samples or center changed since the previous one, or which it
+    left unfinished (see :func:`_recenter`), and the run stops once there
+    are none: the next round would measure the same codebook again.  Returns the last
     codebook measured (sorted on a line), its cells (the run ends right
     after making them, re-seeds included), its distortion, the per-round
     distortion history (non-increasing up to float dust), and whether
@@ -840,16 +851,16 @@ def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, floa
         prev = dist
         changed = None
         if before is not None:
-            key, searched = before
-            changed = cells.changed(key) | np.any(code != searched, axis=1)
+            key, searched, unfinished = before
+            changed = cells.changed(key) | np.any(code != searched, axis=1) | unfinished
             if not changed.any():
                 history.append(dist)
                 break
-        code = _recenter(cells, loss, code, r, changed)
+        code, unfinished = _recenter(cells, loss, code, r, changed)
         # Free the round's arrays (a cached run order too) before the next
-        # assignment allocates its own; r = 0 keeps each cell's key and the
-        # centers it searched for.
-        before = (cells.key(), code) if r == 0.0 else None
+        # assignment allocates its own; a searching rule keeps each cell's
+        # key, the centers it found and the cells it left unfinished.
+        before = None if unfinished is None else (cells.key(), code, unfinished)
         del loss, cells
     return code, cells, dist, history, False
 

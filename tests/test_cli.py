@@ -11,16 +11,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdim
+from qdim import cli
 from qdim.cli import main
 from qdim.ifs import WIFS, Similitude, compose_words, similitude_1d, wifs_to_json_obj
 from qdim.instances import cantor, quarter_maps, uniform_halves
-from qdim.measures import DiscreteMeasure, convolve, measure_to_csv, mix
+from qdim.measures import DiscreteMeasure, convolve, measure_to_csv, mix, translate
 from qdim.quantize import chaos_game
 
 import per_word
@@ -833,6 +835,50 @@ def test_measure_csv_output_is_the_per_row_text(tmp_path, op, flags):
                  *flags, "--out", str(out)]) == 0
     want = mix(mu, nu, 0.3) if op == "mix" else convolve(mu, nu)
     assert out.read_bytes().split(b"\n") == per_word.csv_per_row(want).encode().split(b"\n")
+
+
+@pytest.mark.parametrize("op,flags", [("convolve", []), ("translate", ["--x", "0.25"]),
+                                      ("mix", ["--alpha", "0.3"])])
+def test_measure_csv_output_to_a_file_and_to_stdout_is_measure_to_csv(tmp_path, capsys, op, flags):
+    # The CLI writes its row blocks as they are formatted; a convolution of
+    # 8192 by 8 atoms spans many of them.
+    mu, nu = per_word.cantor_iterate(0.37, 13), per_word.cantor_iterate(0.61, 3, x=0.8)
+    paths = []
+    for name, m in (("mu", mu), ("nu", nu)):
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(measure_to_csv(m))
+    want = measure_to_csv({"convolve": lambda: convolve(mu, nu), "translate": lambda: translate(mu, 0.25),
+                           "mix": lambda: mix(mu, nu, 0.3)}[op]())
+    argv = ["measure", "--op", op, "--a", str(paths[0]), "--b", str(paths[1]), *flags]
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_measure_load_of_a_2_16_row_csv_peaks_below_4_mb(tmp_path):
+    # np.loadtxt reads the open file line by line: no whole-file string,
+    # stripped copy or list of lines.
+    path = tmp_path / "mu.csv"
+    path.write_text(measure_to_csv(per_word.cantor_iterate(0.37, 16)))
+    tracemalloc.start()
+    try:
+        mu = cli._load_measure("a", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mu.size == 2 ** 16
+    assert peak <= 4e6
+
+
+def test_measure_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "mu.csv"
+    path.write_bytes(b"x1,weight\n0.5,\xff1\n")
+    assert main(["measure", "--op", "tv", "--a", str(path), "--b", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a: ") and "utf-8" in err
 
 
 def test_measure_json_output(measure_files, tmp_path):

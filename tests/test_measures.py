@@ -12,6 +12,8 @@ form it replaced.
 
 import json
 import math
+import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 from qdim import measures
+from qdim.cli import main
 from qdim.errors import DimensionError, NotNormalized
 from qdim.geometry import Box
 from qdim.ifs import WIFS, Similitude, hutchinson_push
@@ -438,7 +441,7 @@ def test_json_writer_matches_a_per_row_formatter():
     assert json.dumps(measure_to_json_obj(mu)) == json.dumps(ref)
 
 
-@pytest.mark.parametrize("text,match", [
+_MALFORMED_CSV = [
     ("", "header"),
     ("x1,mass\n0.5,1.0\n", "header"),
     ("x1,weight\n", "no atom rows"),
@@ -451,16 +454,94 @@ def test_json_writer_matches_a_per_row_formatter():
     ("x1,weight\n0.5,1.0,2.0\n", "header has 2 columns, its rows 3"),
     ("x1,weight\nnan,1.0\n", "finite"),
     ("x1,weight\n0.5,inf\n", "finite"),
-])
+]
+
+
+@pytest.mark.parametrize("text,match", _MALFORMED_CSV)
 def test_csv_reader_refuses_malformed_text(text, match):
     with pytest.raises(ValueError, match=match):
         measure_from_csv(text)
+
+
+@pytest.mark.parametrize("text,match", _MALFORMED_CSV)
+def test_csv_file_reader_refuses_malformed_text_as_the_text_reader_does(tmp_path, capsys,
+                                                                        text, match):
+    # An open file is parsed line by line, with the text reader's message,
+    # and the CLI refuses it as invalid input in the option that named it.
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text(text)
+    good.write_text("x1,weight\n0.5,1.0\n")
+    with pytest.raises(ValueError, match=match) as want:
+        measure_from_csv(text)
+    with bad.open(encoding="utf-8") as f, pytest.raises(ValueError) as got:
+        measure_from_csv(f)
+    assert str(got.value) == str(want.value)
+    for field, a, b in (("a", bad, good), ("b", good, bad)):
+        assert main(["measure", "--op", "tv", "--a", str(a), "--b", str(b)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: {str(bad)!r}: {want.value}\n"
+
+
+@pytest.mark.parametrize("text", ["x1,weight\n", "x1,x2,weight\r\n\r\n  \n", "\n\n x1,weight \n\t\n"])
+def test_csv_reader_of_a_header_alone_has_no_atom_rows_and_no_warning(tmp_path, text):
+    path = tmp_path / "mu.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on input without data
+        with pytest.raises(ValueError, match="no atom rows"):
+            measure_from_csv(text)
+        with path.open(encoding="utf-8") as f, pytest.raises(ValueError, match="no atom rows"):
+            measure_from_csv(f)
 
 
 def test_csv_reader_takes_crlf_and_padded_fields():
     mu = measure_from_csv("x1,x2,weight\r\n 0.5 , 1.5,0.25\r\n0.0,1.0, 0.75\r\n")
     assert mu.atoms.tolist() == [[0.0, 1.0], [0.5, 1.5]]
     assert mu.weights.tolist() == [0.75, 0.25]
+
+
+@pytest.mark.parametrize("text", [
+    "x1,x2,weight\r\n 0.5 , 1.5,0.25\r\n0.0,1.0, 0.75\r\n",
+    "\n\n  \n x1,x2,weight\n\n0.0,1.0,0.75\n0.5, 1.5 ,0.25   \n  \n\n",
+])
+def test_csv_file_reader_takes_crlf_padded_fields_and_blank_lines(tmp_path, text):
+    path = tmp_path / "mu.csv"
+    path.write_bytes(text.encode())
+    with path.open(encoding="utf-8") as f:
+        read = measure_from_csv(f)
+    for mu in (measure_from_csv(text), read):
+        assert mu.atoms.tolist() == [[0.0, 1.0], [0.5, 1.5]]
+        assert mu.weights.tolist() == [0.75, 0.25]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rows", [-1, 0, 1, "2B+1"], ids=["B-1", "B", "B+1", "2B+1"])
+def test_csv_writer_blocks_match_a_per_row_formatter(dim, rows):
+    # Coordinates and weights repeat across block boundaries, and each
+    # block formats its own distinct values.
+    block = measures._CSV_BLOCK_ROWS
+    k = 2 * block + 1 if rows == "2B+1" else block + rows
+    rng = np.random.default_rng(k + dim)
+    atoms = rng.choice(rng.normal(size=5), size=(k, dim))
+    atoms[:, 0] = np.arange(k) / 3.0  # distinct rows, so none merge
+    mu = DiscreteMeasure(atoms, rng.choice([0.1, 1 / 3, 1e-5, 2.5], size=k))
+    pieces = list(measures._csv_blocks(mu))
+    assert [piece.count("\n") for piece in pieces[1:]] == [
+        min(block, k - lo) for lo in range(0, k, block)]
+    assert "".join(pieces) == measure_to_csv(mu)
+    assert measure_to_csv(mu).split("\n") == per_word.csv_per_row(mu).split("\n")
+
+
+def test_csv_writer_peaks_below_two_and_a_half_times_its_text():
+    # Row blocks keep the writer's transient small: the text, and the
+    # blocks it is joined from, dominate.
+    mu = per_word.cantor_iterate(0.37, 16)
+    tracemalloc.start()
+    try:
+        text = measure_to_csv(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 @pytest.mark.parametrize("obj", [
@@ -472,3 +553,29 @@ def test_csv_reader_takes_crlf_and_padded_fields():
 def test_json_reader_refuses_malformed_objects(obj):
     with pytest.raises(ValueError):
         measure_from_json_obj(obj)
+
+
+def _dl_on_columns(mu, nu):
+    """The 1-d ``dl`` as it was written before it worked in place: each CDF,
+    the steps and every intermediate in a buffer of its own."""
+    grid = np.unique(np.concatenate([mu.atoms[:, 0], nu.atoms[:, 0]]))
+    if grid.shape[0] == 1:
+        return 0.0
+    cdfs = []
+    for m in (mu, nu):
+        masses = np.zeros(grid.shape[0])
+        np.add.at(masses, np.searchsorted(grid, m.atoms[:, 0]), m.weights)
+        cdfs.append(np.cumsum(masses))
+    return float(np.sum(np.abs(cdfs[0][:-1] - cdfs[1][:-1]) * np.diff(grid)))
+
+
+def test_line_dl_equals_its_column_form_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    for _ in range(50):
+        pool = rng.normal(size=int(rng.integers(1, 400)))
+        mu, nu = (DiscreteMeasure(rng.choice(pool, size=k), rng.uniform(0.1, 1.0, size=k))
+                  for k in rng.integers(1, 300, size=2))
+        mu, nu = (DiscreteMeasure(m.atoms, m.weights / m.total) for m in (mu, nu))
+        assert dl(mu, nu) == _dl_on_columns(mu, nu)
+    mu, nu = per_word.cantor_iterate(0.37, 14), per_word.cantor_iterate(0.61, 14, x=0.7)
+    assert dl(mu, nu) == _dl_on_columns(mu, nu)

@@ -370,7 +370,7 @@ def test_recenter_reaches_scipy_cell_minimum(m, r):
             layouts.append((_Slices(x[order, 0], cuts), d[order]))
         want = np.array([_scipy_cell_minimum(x[idx == c], r) for c in range(code.shape[0])])
         for cells, dd in layouts:
-            new = _recenter(cells, _loss(dd, r), code, r)
+            new, _ = _recenter(cells, _loss(dd, r), code, r)
             np.testing.assert_allclose(_cell_objective(cells, new, r), want, rtol=1e-9)
 
 
@@ -440,7 +440,7 @@ def test_active_cell_newton_matches_full_sample_reference(m, r):
         cells = _Indexed(xt, idx, code.shape[0])
         for _ in range(2):
             value = _cell_objective(cells, code, r)
-            got = _damped_newton(cells, code, r, value)
+            got, _ = _damped_newton(cells, code, r, value)
             want = _damped_newton_reference(xt, idx, code, r, value)
             np.testing.assert_array_equal(got, want)
             assert np.all(_cell_objective(cells, got, r) <= value)
@@ -479,7 +479,7 @@ def test_log_recentering_is_bit_identical_to_reference_1d(cantor_samples):
         code = x[rng.choice(cantor_samples.count, size=n, replace=False)]
         # the line's cells held in sample order, as R^m holds its cells
         code, _, (cells, d) = _both_layouts(x, code)
-        new = _recenter(cells, _loss(d, 0.0), code, 0.0)
+        new, _ = _recenter(cells, _loss(d, 0.0), code, 0.0)
         np.testing.assert_array_equal(new, _log_candidates_reference(x, cells.idx, code))
 
 
@@ -537,8 +537,8 @@ def test_line_cells_read_from_the_sorted_samples(fixture, r):
         code = x[rng.choice(x.shape[0], size=n, replace=False)]
         code[1] = code[0]  # a duplicate center leaves one cell empty
         code, (line, d), (indexed, dx) = _both_layouts(x, code)
-        got = _recenter(line, _loss(d, r), code, r)
-        want = _recenter(indexed, _loss(dx, r), code, r)
+        got, _ = _recenter(line, _loss(d, r), code, r)
+        want, _ = _recenter(indexed, _loss(dx, r), code, r)
         if r in (0.0, 1.0):
             np.testing.assert_array_equal(got, want)
         else:
@@ -642,6 +642,57 @@ def test_log_lloyd_stops_once_no_cell_changed(w, monkeypatch):
     assert stopped >= (4 if w.dim == 1 else 1)
 
 
+def _newton_runs(x, starts, r, monkeypatch):
+    """``_lloyd`` from each start with the settled-cell skip and with every
+    cell recentred every round, and each run's ``_recenter`` call count."""
+    calls = []
+    recenter = quantize._recenter
+    monkeypatch.setattr(quantize, "_recenter", lambda *a: calls.append(1) or recenter(*a))
+    runs = []
+    for rescan in (False, True):
+        if rescan:
+            _always_changed(monkeypatch)
+        out = []
+        for init in starts:
+            calls.clear()
+            code, cells, dist, hist, _ = _run(x, init, r)
+            out.append((code, _sample_cells(x, cells), dist, hist, len(calls)))
+        runs.append(out)
+    return runs
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_newton_lloyd_skips_settled_cells(r, monkeypatch):
+    # Newton steps from where the last ones stopped, on the same samples,
+    # stop again: skipping those cells changes no codebook, cell,
+    # distortion or history.  On the dust every rung's first recentering
+    # leaves every cell's samples as they were, so the second is not called.
+    samples = chaos_game(_DUST, 15_000, seed=12345)
+    starts = [antichain_codebooks(_DUST, [n], r)[n] for n in (16, 32, 64, 128)]
+    skip, full = _newton_runs(samples.points, starts, r, monkeypatch)
+    for got, want in zip(skip, full):
+        for a, b in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(a, b)
+        assert got[2:4] == want[2:4]
+        assert got[4] == 1 and want[4] == 2 and got[3][-1] == got[3][-2]
+
+
+@pytest.mark.parametrize("m,r", [(1, 1.5), (1, 3.0), (2, 1.0), (2, 3.0)])
+def test_newton_lloyd_recentres_cells_cut_at_the_step_cap(m, r, monkeypatch):
+    # With one Newton step per round nearly every moving cell hits the cap:
+    # those cells must be searched again even where nothing else changed.
+    monkeypatch.setattr(quantize, "_NEWTON_STEPS", 1)
+    x = np.random.default_rng(31 + m).uniform(size=(2000, m))
+    starts = [x[np.random.default_rng(seed).choice(x.shape[0], size=n, replace=False)]
+              for n, seed in ((5, 0), (12, 1), (30, 2))]
+    skip, full = _newton_runs(x, starts, r, monkeypatch)
+    for got, want in zip(skip, full):
+        for a, b in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(a, b)
+        assert got[2:4] == want[2:4]
+        assert got[4] <= want[4]
+
+
 def _sorted_slices(x, cells):
     """Each cell's samples, cut from ``np.sort`` of the samples."""
     xs = np.sort(x[:, 0])
@@ -669,9 +720,9 @@ def test_line_recentering_matches_sorted_slice_references(fixture):
             code[0] = -0.0
         code, d, cells = _assigner(x)(code)
         slices = _sorted_slices(x, cells)
-        med = _recenter(cells, _loss(d.copy(), 1.0), code, 1.0)
-        mean = _recenter(cells, _loss(d.copy(), 2.0), code, 2.0)
-        log = _recenter(cells, _loss(d.copy(), 0.0), code, 0.0)
+        med, _ = _recenter(cells, _loss(d.copy(), 1.0), code, 1.0)
+        mean, _ = _recenter(cells, _loss(d.copy(), 2.0), code, 2.0)
+        log, _ = _recenter(cells, _loss(d.copy(), 0.0), code, 0.0)
         for c, s in enumerate(slices):
             if not s.size:
                 assert med[c] == mean[c] == log[c] == code[c]
@@ -829,20 +880,41 @@ def _still_codebook(m):
                      [-1.7447515009489143, -0.8987879231198996]])]))
 def test_bounded_assignment_matches_full_query(case):
     # The first call starts from a guess, certified by the same half-gap
-    # bound as every later call: the guess may be right, random, all zero
-    # or the farthest center, and no call may depend on it.
+    # bound as every later call, or from a query of every sample without
+    # one: the guess may be right, random, all zero or the farthest center,
+    # and no call may depend on it.
     x, codes = case
     want = [cKDTree(code).query(x, k=1) for code in codes]
     n = codes[0].shape[0]
     span = np.linalg.norm(x[:, None] - codes[0][None], axis=2)
     guesses = [want[0][1], np.random.default_rng(x.shape[0]).integers(0, n, x.shape[0]),
                np.zeros(x.shape[0], dtype=np.intp), np.argmax(span, axis=1)]
-    for guess in guesses:
-        assign = _BoundedAssign(x, np.ascontiguousarray(x.T), guess=guess.astype(np.intp))
+    for guess in [None, *(g.astype(np.intp) for g in guesses)]:
+        assign = _BoundedAssign(x, np.ascontiguousarray(x.T), guess=guess)
         for code, (want_d, want_idx) in zip(codes, want):
             _, d, cells = assign(code)
             np.testing.assert_array_equal(cells.idx, want_idx)
             np.testing.assert_array_equal(d, want_d)
+
+
+def test_bounded_assignment_without_a_guess_queries_every_sample_once(monkeypatch):
+    # A bare sample set has no cylinder to guess from: the first call sends
+    # every sample to one _query_two, whose answer is the full k=1 query's,
+    # ties (a duplicated center) included.
+    queried = []
+    query_two = quantize._query_two
+    monkeypatch.setattr(quantize, "_query_two",
+                        lambda tree, x, slack: queried.append(len(x)) or query_two(tree, x, slack))
+    x = chaos_game(_DUST, 15_000, seed=3).points
+    for n in (16, 64):
+        code = x[np.random.default_rng(n).choice(x.shape[0], size=n, replace=False)]
+        code[1] = code[0]
+        queried.clear()
+        _, d, cells = _BoundedAssign(x, np.ascontiguousarray(x.T))(code)
+        assert queried == [x.shape[0]]
+        want_d, want_idx = cKDTree(code).query(x, k=1)
+        np.testing.assert_array_equal(cells.idx, want_idx)
+        np.testing.assert_array_equal(d, want_d)
 
 
 def test_cell_runs_are_the_lexsort_order():
