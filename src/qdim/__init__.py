@@ -12,7 +12,6 @@ from .dimension import (
     KappaCurve,
     d0_dimension,
     kappa_curve,
-    similarity_dimension,
     solve_kappa,
 )
 from .errors import (
@@ -118,7 +117,6 @@ __all__ = [
     "mix",
     "optimize_codebook",
     "search_separated_sub_ifs",
-    "similarity_dimension",
     "similitude_1d",
     "solve_kappa",
     "translate",

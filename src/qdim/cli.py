@@ -81,7 +81,7 @@ def _emit_json(obj, out_path: str | None) -> None:
 def _load_wifs(path: str) -> WIFS:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Invalid("wifs", f"cannot read WIFS file {path!r}: {exc}") from exc
     try:
         obj = json.loads(raw)

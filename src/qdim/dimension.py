@@ -9,12 +9,14 @@ With ``q = p / sum(p)``, ``b_i = kappa log s_i - log q_i`` and
 of r: it tends to ``sum_i q_i b_i`` as ``t -> 0``, whose root is the
 order-zero dimension ``d0 = sum p log p / sum p log s``, and equals
 ``sum_i s_i**kappa - 1`` at ``t = 1`` (``r -> inf``), whose root is the
-similarity dimension.  F decreases in kappa from ``N - 1`` at ``0+`` and, by
-Hoelder, is non-positive at the similarity dimension, which is at most
-``log N / log(1 / max s)``.  One vectorised bisection on that bracket, run
-until the midpoint equals an endpoint, solves a whole grid of orders; a
-root whose residual ``|F|`` exceeds ``RESIDUAL_TOL`` is refused.  The
-reported dimension clamps at the ambient dimension: ``d_r = min(kappa_r, m)``.
+similarity dimension: at the largest float ``r + kappa`` rounds to ``r``, so
+``solve_kappa`` there returns it.  F decreases in kappa from ``N - 1`` at
+``0+`` and, by Hoelder, is non-positive at the similarity dimension, which
+is at most ``log N / log(1 / max s)``.  One vectorised bisection on that
+bracket, run until the midpoint equals an endpoint, solves a whole grid of
+orders; a root whose residual ``|F|`` exceeds ``RESIDUAL_TOL`` is refused.
+The reported dimension clamps at the ambient dimension:
+``d_r = min(kappa_r, m)``.
 
 The order-zero dimension has its own closed form; ``solve_kappa`` refuses
 ``r <= 0`` rather than silently extrapolating.
@@ -37,7 +39,6 @@ __all__ = [
     "solve_kappa",
     "d0_dimension",
     "kappa_curve",
-    "similarity_dimension",
 ]
 
 #: A root whose equation residual |F| exceeds this is refused.
@@ -171,13 +172,3 @@ def kappa_curve(wifs: WIFS, r_grid: Sequence[float]) -> KappaCurve:
     kappas = [res.kappa_r for res in results]
     monotone = all(b >= a - MONOTONE_SLACK for a, b in zip(kappas, kappas[1:]))
     return KappaCurve(rs, results, monotone)
-
-
-def similarity_dimension(wifs: WIFS) -> float:
-    """Root of ``sum_i s_i**D = 1``: the ``t = 1`` member of the same kernel.
-
-    This is the natural ceiling for kappa_r: as r grows, kappa_r increases
-    toward it.
-    """
-    # r + kappa rounds to r at the largest float, so t is exactly 1 there.
-    return float(_kappa_roots(wifs, np.array([np.finfo(float).max]))[0][0])

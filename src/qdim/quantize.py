@@ -44,10 +44,11 @@ center: a chaos-game sample is born in the cylinder f_w(conv K) of the maps
 just drawn, so the start codebook's point f_w(a*) for the antichain word w
 its address starts with is a guess that Elkan's half-gap lemma certifies
 for nearly every sample.  Damped Newton steps and their trials read only the
-samples of the cells still moving, and at r = 0 and the Newton orders a
-recentering searches only the cells whose samples or center changed since
-the previous one, or that hit the step cap (both read every sample while
-those cells hold more than half of them), and a run stops once none did.
+samples of the cells still moving.  At every order a recentering reports the
+cells it left unsettled (the Newton cells the step cap cut short, and every
+cell at 0 < r < 1), the next one searches only the cells whose samples or
+center changed or that are unsettled (reading every sample while those
+cells hold more than half of them), and a run stops once there are none.
 A cell's sum depends only on its own samples in their order, so every
 assignment, center and distortion is bit-identical to full rescans and
 per-sample searches.
@@ -583,27 +584,32 @@ def _cell_objective(cells, centers: np.ndarray, r: float) -> np.ndarray:
 
 
 def _recenter(cells, loss: np.ndarray, code: np.ndarray, r: float,
-              changed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+              changed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal (or safeguarded) new centers for the assignment ``cells``, and
-    for the searches (r = 0, damped Newton) the mask of cells they left
-    unfinished (None for the other rules).
+    the mask of the cells they leave unsettled: a cell whose center a second
+    recentering over the same samples could still move.
 
     ``loss`` holds each sample's :func:`_loss` at its current center.
-    ``changed``, if given, masks the cells whose samples or center changed
-    since the search that produced ``code``, or that it left unfinished:
-    every other cell's center ended that search over the same samples, with
-    the same value, so would end it again, and only the changed cells are
-    searched.
+    ``changed`` masks the cells whose samples or center changed since the
+    recentering that produced ``code``, or that it left unsettled (all of
+    them at a run's first recentering): every other cell's center ended
+    that recentering over the same samples, so would end it again, and
+    only the changed cells are searched.  Means, line medians and the
+    r = 0 search read nothing but a cell's samples and leave no cell
+    unsettled; damped Newton leaves the cells the step cap cut short; the
+    majorize-minimize steps of 0 < r < 1 start from the incumbent, so they
+    leave every cell unsettled.
     """
     n, m = code.shape
     counts = cells.counts
     nonempty = counts > 0
     new = code.copy()
+    none = np.zeros(n, dtype=bool)
 
     if r == 2.0:
         sums = cells.sum(cells.xt)
         new[nonempty] = sums[nonempty] / counts[nonempty, None]
-        return new, None
+        return new, none
 
     if r == 1.0 and m == 1:
         ne = np.flatnonzero(nonempty)
@@ -611,27 +617,23 @@ def _recenter(cells, loss: np.ndarray, code: np.ndarray, r: float,
         lo_mid = cells.ranked(starts + (counts[ne] - 1) // 2)
         hi_mid = cells.ranked(starts + counts[ne] // 2)
         new[ne, 0] = 0.5 * (lo_mid[0] + hi_mid[0])
-        return new, None
+        return new, none
 
     incumbent = cells.sum(loss)
     if r == 0.0:
-        return _best_candidates(cells, code, r, incumbent, mask=changed)[0], np.zeros(n, bool)
+        return _best_candidates(cells, code, r, incumbent, changed)[0], none
     if r >= 1.0:
-        return _damped_newton(cells, code, r, incumbent, mask=changed)
+        return _damped_newton(cells, code, r, incumbent, changed)
 
     # d^r is concave in d: minimisers sit on or near samples, where the
     # majoriser's weights blow up and its steps stall, so the better of its
-    # result and the sample candidates wins, and the incumbent if neither
-    # improves on it.
+    # result and the sample candidates wins.  The candidates start at the
+    # incumbent and only improve on it, so the winner never ends above it.
     new = _majorize_minimize(cells, code, r)
-    value = _cell_objective(cells, new, r)
-    cand, cand_value = _best_candidates(cells, code, r, incumbent, refine=True)
-    take = cand_value < value
+    cand, cand_value = _best_candidates(cells, code, r, incumbent, changed)
+    take = cand_value < _cell_objective(cells, new, r)
     new[take] = cand[take]
-    value[take] = cand_value[take]
-    worse = value > incumbent
-    new[worse] = code[worse]
-    return new, None
+    return new, ~none
 
 
 def _weights(d: np.ndarray, r: float) -> np.ndarray:
@@ -650,8 +652,7 @@ def _weights(d: np.ndarray, r: float) -> np.ndarray:
 
 
 def _best_candidates(cells, code: np.ndarray, r: float, incumbent: np.ndarray,
-                     refine: bool = False, mask: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best of the incumbent and a spread of each cell's own samples.
 
     On a line, between consecutive samples the map ``c -> sum log|c - x_i|``
@@ -661,20 +662,16 @@ def _best_candidates(cells, code: np.ndarray, r: float, incumbent: np.ndarray,
     ordered by their first coordinate) plus the incumbent, whose per-cell
     objective is ``incumbent``, and keep the best; the floored log dip at
     each candidate has the same depth, hence quantile resolution only
-    affects the smooth part of the objective.  With ``refine`` the spread is
+    affects the smooth part of the objective.  At r > 0 the spread is
     narrowed around the best quantile and scored again until it holds
-    consecutive samples.  Only the cells in ``mask`` (all when None) are
-    searched, over their own samples; the rest keep the incumbent.  Returns
-    the centers and their per-cell objectives.
+    consecutive samples.  Only the cells in ``mask`` are searched, over
+    their own samples; the rest keep the incumbent.  Returns the centers
+    and their per-cell objectives.
     """
     # Candidates come from the runs of ``cells`` and are scored on ``part``,
     # so a restricted copy never orders its samples again.
-    searched = cells.counts > 0
-    part = cells
-    if mask is not None:
-        part = cells.restrict(mask)
-        searched &= mask
-    ne = np.flatnonzero(searched)
+    part = cells.restrict(mask)
+    ne = np.flatnonzero(mask & (cells.counts > 0))
     starts = cells.run_starts[ne]
     best = code.copy()
     best_val = incumbent.copy()
@@ -693,7 +690,7 @@ def _best_candidates(cells, code: np.ndarray, r: float, incumbent: np.ndarray,
             best_val[won] = val[better]
             best[won] = cand[won]
             top[better] = rank[better]
-        if not refine or span.max(initial=0) < _LOG_CANDIDATES:
+        if r == 0.0 or span.max(initial=0) < _LOG_CANDIDATES:
             return best, best_val
         reach = -(-span // (_LOG_CANDIDATES - 1))
         lo = np.maximum(top - reach, 0)
@@ -723,7 +720,7 @@ def _majorize_minimize(cells, code: np.ndarray, r: float) -> np.ndarray:
 
 
 def _damped_newton(cells, code: np.ndarray, r: float, value: np.ndarray,
-                   mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton steps for r >= 1, all cells at once.
 
     The cell objective ``sum_i |z - x_i|^r`` (per-cell values ``value`` at
@@ -736,7 +733,7 @@ def _damped_newton(cells, code: np.ndarray, r: float, value: np.ndarray,
     which for r <= 2 is the majorize-minimize (Weiszfeld) step and so
     descends, halved until it lowers the objective.  A cell stops once its
     step is below tolerance without a decrease.  Only the cells in ``mask``
-    (all when None) start active.
+    start active.
 
     Each step reads only the samples of the cells still active, and each
     trial only those of the cells it tries (see ``restrict``); per-cell
@@ -750,7 +747,7 @@ def _damped_newton(cells, code: np.ndarray, r: float, value: np.ndarray,
     f = value.copy()
     tol = _STEP_TOL * max(float(np.max(np.abs(cells.xt))), 1.0)
     eye = np.eye(m)
-    active = np.ones(n, dtype=bool) if mask is None else mask.copy()
+    active = mask.copy()
     for _ in range(_NEWTON_STEPS):
         if not active.any():
             break
@@ -822,19 +819,17 @@ def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, floa
     """Run Lloyd iterations to (near) convergence, or for ``MAX_ROUNDS``
     rounds, every round assigning through ``assign`` (see :func:`_assigner`).
 
-    Under the searching rules (r = 0, and damped Newton: r >= 1 other than
-    r = 2 and, on a line, r = 1) each recentering searches only the cells
-    whose samples or center changed since the previous one, or which it
-    left unfinished (see :func:`_recenter`), and the run stops once there
-    are none: the next round would measure the same codebook again.  Returns the last
-    codebook measured (sorted on a line), its cells (the run ends right
-    after making them, re-seeds included), its distortion, the per-round
-    distortion history (non-increasing up to float dust), and whether
-    ``MAX_ROUNDS`` cut the run short.
+    Each recentering searches only the cells whose samples or center
+    changed since the previous one, or which it left unsettled (see
+    :func:`_recenter`), and the run stops once there are none: the next
+    round would measure the same codebook again.  Returns the last codebook
+    measured (sorted on a line), its cells (the run ends right after making
+    them, re-seeds included), its distortion, the per-round distortion
+    history (non-increasing up to float dust), and whether ``MAX_ROUNDS``
+    cut the run short.
     """
     history: list[float] = []
     prev = math.inf
-    before = None
     while True:
         code, d, cells = assign(code)
         code, reseeded = _reseed_empty(code, d, cells)
@@ -849,18 +844,18 @@ def _lloyd(assign, code: np.ndarray, r: float) -> tuple[np.ndarray, object, floa
         if len(history) == MAX_ROUNDS:
             return code, cells, dist, history, True
         prev = dist
-        changed = None
-        if before is not None:
-            key, searched, unfinished = before
-            changed = cells.changed(key) | np.any(code != searched, axis=1) | unfinished
+        changed = np.ones(code.shape[0], dtype=bool)
+        if len(history) > 1:
+            key, searched, unsettled = before
+            changed = cells.changed(key) | np.any(code != searched, axis=1) | unsettled
             if not changed.any():
                 history.append(dist)
                 break
-        code, unfinished = _recenter(cells, loss, code, r, changed)
+        code, unsettled = _recenter(cells, loss, code, r, changed)
         # Free the round's arrays (a cached run order too) before the next
-        # assignment allocates its own; a searching rule keeps each cell's
-        # key, the centers it found and the cells it left unfinished.
-        before = None if unfinished is None else (cells.key(), code, unfinished)
+        # assignment allocates its own; keep each cell's key, the centers
+        # found and the cells left unsettled.
+        before = (cells.key(), code, unsettled)
         del loss, cells
     return code, cells, dist, history, False
 

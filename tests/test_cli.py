@@ -169,6 +169,15 @@ def test_invalid_wifs_file_exits_2_naming_the_field(tmp_path, capsys, command, m
     assert err.startswith("error: wifs: ") and f"field '{field}' is invalid" in err
 
 
+@pytest.mark.parametrize("command", [c for c in _COMMANDS if c[0] in ("dim", "check-sep", "estimate")],
+                         ids=["dim", "check-sep", "estimate"])
+def test_wifs_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff" + json.dumps(wifs_to_json_obj(cantor())).encode())
+    assert main([command[0], "--wifs", str(path)] + command[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: wifs: ")
+
+
 def test_argparse_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dim"])

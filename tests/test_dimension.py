@@ -9,18 +9,19 @@ r -> 0 and the similarity dimension as r -> inf, and its monotonicity.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from qdim import dimension
 from qdim.dimension import (
     MONOTONE_SLACK,
     d0_dimension,
     kappa_curve,
-    similarity_dimension,
     solve_kappa,
 )
 from qdim.errors import UseD0Path
@@ -32,6 +33,14 @@ from qdim.instances import cantor, random_wifs, uniform_halves
 KAPPA2_MIXED = 0.6242257143009567
 #   maps {x/2, x/2 + 1/2}, weights (0.1, 0.9)
 D0_SKEWED = 0.46899559358928117
+
+
+def _similarity_oracle(w):
+    """Independent oracle: brentq on sum_i s_i^D - 1, which falls from
+    N - 1 at D = 0 to below 0 at D = log N / log(1 / max s) + 1."""
+    s = np.asarray(w.scales)
+    hi = math.log(len(s)) / math.log(1.0 / s.max()) + 1.0
+    return brentq(lambda d: float(np.sum(s ** d)) - 1.0, 0.0, hi, xtol=1e-15, rtol=1e-15)
 
 
 def _mixed():
@@ -155,10 +164,13 @@ def test_quantization_dimension_clamps_at_ambient():
 
 
 def test_similarity_dimension_closed_form():
-    assert similarity_dimension(cantor()) == pytest.approx(math.log(2) / math.log(3), abs=1e-10)
+    assert _similarity_oracle(cantor()) == pytest.approx(math.log(2) / math.log(3), abs=1e-10)
     maps = tuple(similitude_1d(0.4, float(k)) for k in range(4))
     w = WIFS(maps=maps, probs=(0.25,) * 4)
-    assert similarity_dimension(w) == pytest.approx(math.log(4) / math.log(2.5), abs=1e-10)
+    assert _similarity_oracle(w) == pytest.approx(math.log(4) / math.log(2.5), abs=1e-10)
+    for w in (cantor(), w, _mixed(), _skewed()):
+        # the t = 1 end of the kernel: r + kappa rounds to r at the largest float
+        assert abs(solve_kappa(w, sys.float_info.max).kappa_r - _similarity_oracle(w)) <= 1e-12
 
 
 def test_kappa_approaches_d0_for_small_r():
@@ -169,7 +181,7 @@ def test_kappa_approaches_d0_for_small_r():
 def test_kappa_rises_toward_similarity_dimension_for_large_r():
     # as r grows the root climbs toward the similarity dimension
     w = _skewed()
-    sim = similarity_dimension(w)
+    sim = _similarity_oracle(w)
     k_small, k_big = solve_kappa(w, 0.5).kappa_r, solve_kappa(w, 50.0).kappa_r
     assert k_small < k_big <= sim + 1e-9
     assert k_big == pytest.approx(sim, abs=0.05)
@@ -242,7 +254,8 @@ def test_kappa_tends_to_d0_as_r_vanishes(w):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_systems())
 def test_kappa_tends_to_similarity_dimension_as_r_grows(w):
-    sim = similarity_dimension(w)
+    sim = _similarity_oracle(w)
+    assert abs(solve_kappa(w, sys.float_info.max).kappa_r - sim) <= 1e-12
     ks = [res.kappa_r for res in kappa_curve(w, [1e2, 1e4, 1e6, 1e12]).results]
     assert ks[-1] <= sim + 1e-12
     assert abs(ks[-1] - sim) <= 1e-6

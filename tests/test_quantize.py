@@ -370,7 +370,7 @@ def test_recenter_reaches_scipy_cell_minimum(m, r):
             layouts.append((_Slices(x[order, 0], cuts), d[order]))
         want = np.array([_scipy_cell_minimum(x[idx == c], r) for c in range(code.shape[0])])
         for cells, dd in layouts:
-            new, _ = _recenter(cells, _loss(dd, r), code, r)
+            new, _ = _recenter(cells, _loss(dd, r), code, r, np.ones(code.shape[0], bool))
             np.testing.assert_allclose(_cell_objective(cells, new, r), want, rtol=1e-9)
 
 
@@ -440,7 +440,7 @@ def test_active_cell_newton_matches_full_sample_reference(m, r):
         cells = _Indexed(xt, idx, code.shape[0])
         for _ in range(2):
             value = _cell_objective(cells, code, r)
-            got, _ = _damped_newton(cells, code, r, value)
+            got, _ = _damped_newton(cells, code, r, value, np.ones(code.shape[0], bool))
             want = _damped_newton_reference(xt, idx, code, r, value)
             np.testing.assert_array_equal(got, want)
             assert np.all(_cell_objective(cells, got, r) <= value)
@@ -479,7 +479,7 @@ def test_log_recentering_is_bit_identical_to_reference_1d(cantor_samples):
         code = x[rng.choice(cantor_samples.count, size=n, replace=False)]
         # the line's cells held in sample order, as R^m holds its cells
         code, _, (cells, d) = _both_layouts(x, code)
-        new, _ = _recenter(cells, _loss(d, 0.0), code, 0.0)
+        new, _ = _recenter(cells, _loss(d, 0.0), code, 0.0, np.ones(n, bool))
         np.testing.assert_array_equal(new, _log_candidates_reference(x, cells.idx, code))
 
 
@@ -537,13 +537,33 @@ def test_line_cells_read_from_the_sorted_samples(fixture, r):
         code = x[rng.choice(x.shape[0], size=n, replace=False)]
         code[1] = code[0]  # a duplicate center leaves one cell empty
         code, (line, d), (indexed, dx) = _both_layouts(x, code)
-        got, _ = _recenter(line, _loss(d, r), code, r)
-        want, _ = _recenter(indexed, _loss(dx, r), code, r)
+        got, _ = _recenter(line, _loss(d, r), code, r, np.ones(n, bool))
+        want, _ = _recenter(indexed, _loss(dx, r), code, r, np.ones(n, bool))
         if r in (0.0, 1.0):
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(_cell_objective(line, got, r),
                                        _cell_objective(line, want, r), rtol=1e-12)
+
+
+@pytest.mark.parametrize("layout", [0, 1], ids=["line", "indexed"])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_recenter_reports_its_unsettled_cells(layout, r):
+    # Every rule returns a bool mask over the cells.  Means, medians and the
+    # r = 0 search read only their cells' samples and leave none unsettled;
+    # majorize-minimize steps start from the incumbent, so at 0 < r < 1
+    # every cell is left unsettled.
+    x = _line_fixture("cantor")
+    n = 16
+    code = x[np.random.default_rng(37).choice(x.shape[0], size=n, replace=False)]
+    code, *layouts = _both_layouts(x, code)
+    cells, d = layouts[layout]
+    _, unsettled = _recenter(cells, _loss(d, r), code, r, np.ones(n, bool))
+    assert unsettled.dtype == bool and unsettled.shape == (n,)
+    if r in (0.0, 1.0, 2.0):
+        assert not unsettled.any()
+    elif r == 0.5:
+        assert unsettled.all()
 
 
 @pytest.mark.parametrize("fixture", ["grid", "cantor", "grid2", "uniform2"])
@@ -605,17 +625,22 @@ def _fresh_cells(x, code):
 
 
 def _always_changed(monkeypatch):
-    """Make every r = 0 recentering search every cell, in both layouts."""
+    """Make every recentering search every cell, and so every run take its
+    confirming round, in both layouts."""
     for layout in (_Slices, _Indexed):
         monkeypatch.setattr(layout, "changed", lambda self, key: np.ones(self.counts.size, bool))
 
 
-@pytest.mark.parametrize("w", [cantor(), _DUST], ids=["line", "plane"])
-def test_log_lloyd_stops_once_no_cell_changed(w, monkeypatch):
-    # A search that left every cell's samples and center as they were is
-    # the last: the next round would measure the same codebook again.  The
-    # run ends with its distortion twice in the history, as that round
-    # would leave it, and one recentering fewer.
+@pytest.mark.parametrize("w,r,least", [(cantor(), 0.0, 4), (_DUST, 0.0, 1), (cantor(), 1.0, 4),
+                                       (cantor(), 2.0, 3), (_DUST, 2.0, 4)],
+                         ids=["line", "plane", "line-r1", "line-r2", "plane-r2"])
+def test_log_lloyd_stops_once_no_cell_changed(w, r, least, monkeypatch):
+    # A recentering that left every cell's samples and center as they were
+    # is the last: the next round would measure the same codebook again.
+    # The run ends with its distortion twice in the history, as that round
+    # would leave it, and one recentering fewer.  Means and line medians
+    # read only their cells' samples, so they stop by the same rule; at
+    # least ``least`` of the four runs stop so.
     samples = chaos_game(w, 30_000 if w.dim == 1 else 15_000, seed=1 if w.dim == 1 else 12345)
     searches = []
     recenter = quantize._recenter
@@ -627,7 +652,7 @@ def test_log_lloyd_stops_once_no_cell_changed(w, monkeypatch):
         out = []
         for n in (16, 32, 64, 128):
             searches.clear()
-            code, cells, dist, hist, _ = _run(samples.points, antichain_codebooks(w, [n], 0.0)[n], 0.0)
+            code, cells, dist, hist, _ = _run(samples.points, antichain_codebooks(w, [n], r)[n], r)
             out.append((code, _sample_cells(samples.points, cells), dist, hist, len(searches)))
         runs.append(out)
     for got, want in zip(*runs):
@@ -639,7 +664,7 @@ def test_log_lloyd_stops_once_no_cell_changed(w, monkeypatch):
         if k < want[4]:
             stopped += 1
             assert hist[-1] == hist[-2]
-    assert stopped >= (4 if w.dim == 1 else 1)
+    assert stopped >= least
 
 
 def _newton_runs(x, starts, r, monkeypatch):
@@ -720,9 +745,10 @@ def test_line_recentering_matches_sorted_slice_references(fixture):
             code[0] = -0.0
         code, d, cells = _assigner(x)(code)
         slices = _sorted_slices(x, cells)
-        med, _ = _recenter(cells, _loss(d.copy(), 1.0), code, 1.0)
-        mean, _ = _recenter(cells, _loss(d.copy(), 2.0), code, 2.0)
-        log, _ = _recenter(cells, _loss(d.copy(), 0.0), code, 0.0)
+        every = np.ones(n, bool)
+        med, _ = _recenter(cells, _loss(d.copy(), 1.0), code, 1.0, every)
+        mean, _ = _recenter(cells, _loss(d.copy(), 2.0), code, 2.0, every)
+        log, _ = _recenter(cells, _loss(d.copy(), 0.0), code, 0.0, every)
         for c, s in enumerate(slices):
             if not s.size:
                 assert med[c] == mean[c] == log[c] == code[c]
